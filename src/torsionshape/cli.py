@@ -5,13 +5,12 @@ import datetime
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
 from . import oracle as oracle_mod
-from .domain import (Ball, GridSpec, Sublevel, boundary_samples, build_domain,
-                     load_domain, save_boundary, save_domain)
+from .domain import (Ball, GridSpec, Sublevel, atomic_open, boundary_samples,
+                     build_domain, load_domain, save_boundary, save_domain)
 from .errors import ConfigParse, TorsionShapeError
 from .optimizer import OptimizerParams, optimize, shape_derivative
 from .torsion import (energy_J, objective_scale_invariant, phi_constraint,
@@ -39,17 +38,8 @@ DEFAULT_CONFIG = {
 
 
 def _atomic_write(path, text):
-    dirname = os.path.dirname(os.path.abspath(path))
-    os.makedirs(dirname, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=dirname, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_open(path) as fh:
+        fh.write(text)
 
 
 def _dump_json(obj):
@@ -153,7 +143,8 @@ def cmd_solve(cfg, quiet):
     d = trace.final_domain
     u = trace.final_field
     save_domain(d, os.path.join(out, "domain.csv"))
-    np.savetxt(os.path.join(out, "field.csv"), u.values, delimiter=",")
+    with atomic_open(os.path.join(out, "field.csv")) as fh:
+        np.savetxt(fh, u.values, delimiter=",")
     save_boundary(boundary_samples(d), os.path.join(out, "boundary.csv"))
     res_sup, res_l2 = residual_fbp(u, w, 1.0)
     reports = _run_checks(cfg.get("checks", []), d, w)
@@ -255,9 +246,11 @@ def cmd_sweep(cfg, quiet):
         slope_meas = float(np.polyfit(arr[:, 0], arr[:, 4] - arr[:, 3], 1)[0])
         slope_orac = float(np.polyfit(arr[:, 0], arr[:, 2] - arr[:, 1], 1)[0])
         theory = oracle_mod.width_slope(k, alpha, 2)
+        response = oracle_mod.response_width_slope(k, alpha, 2)
         out_lines.append(f"# slope_measured={slope_meas:.6g} "
                          f"slope_oracle={slope_orac:.6g} "
-                         f"slope_bracket_theory={theory:.6g}")
+                         f"slope_bracket_theory={theory:.6g} "
+                         f"slope_response_theory={response:.6g}")
     text = "\n".join(out_lines) + "\n"
     out = cfg.get("out")
     if out:

@@ -1,6 +1,8 @@
 """Level-set representation of bounded planar domains on a Cartesian grid."""
 
 import io
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -369,10 +371,32 @@ def random_starshaped_blob(grid, rng, r0=1.0, amp=0.25, n_modes=4):
 
 # --- serialization ----------------------------------------------------------
 
+@contextmanager
+def atomic_open(path):
+    """Text handle on a temp file beside ``path``, renamed onto it on success.
+
+    On any error the temp file is removed and ``path`` keeps its contents.
+    The temp file is created like ``open(path, "w")`` would create ``path``,
+    so the umask sets its permissions.
+    """
+    dirname = os.path.dirname(os.path.abspath(path))
+    os.makedirs(dirname, exist_ok=True)
+    tmp = os.path.join(dirname, f".tmp-{os.urandom(8).hex()}")
+    fh = open(tmp, "x")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_domain(d, path):
     x0, y0, x1, y1 = d.grid.box
     header = f"{d.grid.nx},{d.grid.ny},{x0},{y0},{x1},{y1}"
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         fh.write(header + "\n")
         np.savetxt(fh, d.ls, delimiter=",")
 
@@ -391,6 +415,6 @@ def load_domain(path):
 
 def save_boundary(samples, path):
     rows = np.column_stack([samples.points, samples.normals, samples.ds])
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         fh.write("x,y,nx,ny,ds\n")
         np.savetxt(fh, rows, delimiter=",")

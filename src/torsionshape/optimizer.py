@@ -8,8 +8,9 @@ from scipy.spatial import cKDTree
 from . import kernels
 from .domain import Domain, boundary_samples, reinitialize, scale_domain
 from .errors import AlphaOne, BadMultiplier, DegenerateWeight
-from .torsion import (boundary_gradient, energy_J, objective_scale_invariant,
-                      phi_constraint, residual_fbp, solve_torsion)
+from .torsion import (_samples, boundary_gradient, energy_J,
+                      objective_scale_invariant, phi_constraint, residual_fbp,
+                      solve_torsion)
 from .weight import eval_weight
 
 
@@ -71,8 +72,6 @@ def estimate_multiplier(u, w, mode="lsq"):
 
     "lsq" minimizes the weighted L2 misfit; "ratio" averages |grad u|^2/g^2.
     """
-    s = None
-    from .torsion import _samples
     s = _samples(u)
     grad, valid = boundary_gradient(u, samples=s)
     g = eval_weight(w, s.points)

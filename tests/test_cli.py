@@ -4,9 +4,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from torsionshape import Ball, GridSpec, build_domain
+from torsionshape import Ball, GridSpec, build_domain, oracle
 from torsionshape.cli import main
 from torsionshape.domain import save_domain
 
@@ -29,8 +30,12 @@ def test_solve_radial_passes_checks(tmp_path):
     by_name = {c["name"]: c for c in rep["checks"]}
     assert by_name["radial_ball"]["pass"]
     assert by_name["basic"]["pass"]
-    for name in ("trace.jsonl", "domain.csv", "field.csv", "boundary.csv"):
-        assert (out / name).exists()
+    # atomic writes keep the permissions a plain open() would give
+    ref = tmp_path / "ref.txt"
+    ref.write_text("")
+    for name in ("trace.jsonl", "domain.csv", "field.csv", "boundary.csv",
+                 "report.json"):
+        assert (out / name).stat().st_mode == ref.stat().st_mode
 
 
 def test_solve_deterministic_reports(tmp_path):
@@ -100,18 +105,40 @@ def test_derivcheck_subcommand(capsys):
     assert out["rows"][0]["errJ"] <= 0.02
 
 
+def test_solve_failed_write_keeps_old_artifact(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "domain.csv").write_text("old contents\n")
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr(np, "savetxt", boom)
+    with pytest.raises(RuntimeError, match="disk full"):
+        main(["--quiet", "solve", "--out", str(out),
+              "--override", "grid.nx=64", "--override", "grid.ny=64"])
+    assert (out / "domain.csv").read_text() == "old contents\n"
+    assert not list(out.glob(".tmp-*"))
+
+
 def test_sweep_subcommand(tmp_path, capsys):
     out = tmp_path / "sweep"
     rc = main(["--quiet", "sweep", "--out", str(out),
-               "--override", "sweep.eps=[0.1]", *FAST_GRID])
+               "--override", "sweep.eps=[0.05,0.1]", *FAST_GRID])
     assert rc == 0
     lines = (out / "sweep.csv").read_text().splitlines()
     assert lines[0] == "eps,r_oracle,R_oracle,r_measured,R_measured"
-    eps, r_or, R_or, r_me, R_me = (float(v) for v in lines[1].split(","))
-    assert (r_or, R_or) == pytest.approx((0.9, 1.1))
     h = 4.0 / 128
-    assert r_me >= r_or - 3 * h
-    assert R_me <= R_or + 3 * h
+    for line, eps_expect in zip(lines[1:3], (0.05, 0.1)):
+        eps, r_or, R_or, r_me, R_me = (float(v) for v in line.split(","))
+        assert eps == eps_expect
+        assert (r_or, R_or) == pytest.approx((1 - eps, 1 + eps))
+        assert r_me >= r_or - 3 * h
+        assert R_me <= R_or + 3 * h
+    slope = lines[3]
+    assert slope.startswith("# slope_measured=")
+    theory = oracle.response_width_slope(0.5, 2.0, 2)
+    assert f"slope_response_theory={theory:.6g}" in slope
 
 
 def test_console_entry_point():

@@ -1,5 +1,7 @@
 """Torsion PDE solve and the functionals J, phi, boundary gradient, residuals."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,11 @@ from torsionshape import (Ball, Domain, Ellipse, GridSpec, boundary_samples,
                           build_domain, energy_J, objective_scale_invariant,
                           phi_constraint, residual_fbp, scale_domain,
                           solve_torsion, weighted_perimeter)
+from torsionshape import kernels, torsion
 from torsionshape.domain import Field, interp_bilinear
-from torsionshape.errors import EmptyDomain
-from torsionshape.torsion import boundary_gradient
+from torsionshape.errors import EmptyDomain, SolverDiverged
+from torsionshape.torsion import (CG_RTOL, _build_system, _interior_operator,
+                                  boundary_gradient)
 from torsionshape.weight import radial_weight
 from scipy.spatial import cKDTree
 
@@ -72,6 +76,62 @@ def test_maximum_principle():
 def test_solve_rejects_empty_domain(grid128):
     with pytest.raises(EmptyDomain):
         solve_torsion(Domain(grid128, np.ones(grid128.shape)))
+
+
+def test_solver_diverged_names_its_context():
+    d = build_domain(GridSpec(32, 32, BOX), Ball(radius=1.0))
+    with pytest.raises(SolverDiverged) as exc:
+        solve_torsion(d, rtol=0.0)
+    msg = str(exc.value)
+    n = int(np.count_nonzero(d.ls < 0.0))
+    m = re.search(r"true residual (\S+) > rtol 0 after (\d+) iterations "
+                  r"on (\d+) unknowns, grid 32x32", msg)
+    assert m is not None, msg
+    assert float(m.group(1)) > 0.0
+    assert 0 < int(m.group(2)) <= 20 * 32
+    assert int(m.group(3)) == n
+
+
+def test_interior_operator_matches_stencil():
+    grid = GridSpec(64, 64, BOX)
+    d = build_domain(grid, Ellipse(1.3, 0.7))
+    inside, diag, cw, ce, cs, cn, b = _build_system(d)
+    # the domain is cut: some interior nodes carry a ghost-fluid diagonal
+    assert np.any(diag[inside] > 4.0 / grid.h ** 2 * (1 + 1e-12))
+    A = _interior_operator(inside, diag, cw, ce, cs, cn)
+    n = int(np.count_nonzero(inside))
+    assert A.shape == (n, n)
+    assert abs(A - A.T).max() == 0.0
+    v = np.zeros(grid.shape)
+    v[inside] = np.random.default_rng(0).standard_normal(n)
+    out = np.empty_like(v)
+    kernels.poisson_matvec(diag, cw, ce, cs, cn, v, out)
+    expect = out[inside]
+    got = A @ v[inside]
+    assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+    u = solve_torsion(d)
+    kernels.poisson_matvec(diag, cw, ce, cs, cn, u.values, out)
+    res = np.linalg.norm((b - out)[inside]) / np.linalg.norm(b[inside])
+    assert u.residual == pytest.approx(res, rel=1e-9)
+    assert u.residual <= CG_RTOL
+
+
+def test_solve_restarts_from_true_residual(monkeypatch):
+    # a first CG pass that stops early stands in for a recursive residual
+    # that rounding let drift below the tolerance
+    real = torsion._pcg
+    tols = []
+
+    def stops_early(A, x, r, inv_d, tol, maxiter):
+        tols.append(tol)
+        return real(A, x, r, inv_d, tol * (1e4 if len(tols) == 1 else 1.0),
+                    maxiter)
+
+    monkeypatch.setattr(torsion, "_pcg", stops_early)
+    u = solve_torsion(build_domain(GridSpec(64, 64, BOX), Ellipse(1.3, 0.7)))
+    assert len(tols) == 2
+    assert u.residual <= CG_RTOL
 
 
 def test_energy_unit_ball(grid256):
