@@ -198,46 +198,32 @@ def boundary_samples(d):
     ls = d.ls
     grid = d.grid
     h = grid.h
-    inside = ls < 0.0
-    mixed = np.zeros((grid.nx, grid.ny), dtype=bool)
-    c = inside[:-1, :-1].astype(np.int8) + inside[1:, :-1] + inside[1:, 1:] + inside[:-1, 1:]
-    mixed = (c > 0) & (c < 4)
-    xs, ys = grid.xs, grid.ys
-    p0 = []
-    p1 = []
-    corners = ((0, 0), (1, 0), (1, 1), (0, 1))
-    for i, j in zip(*np.nonzero(mixed)):
-        vals = (ls[i, j], ls[i + 1, j], ls[i + 1, j + 1], ls[i, j + 1])
-        verts = []
-        kinds = []  # "in" corner, "exit" crossing, "entry" crossing
-        for k in range(4):
-            k2 = (k + 1) % 4
-            va, vb = vals[k], vals[k2]
-            ca = corners[k]
-            cb = corners[k2]
-            if va < 0.0:
-                verts.append((xs[i + ca[0]], ys[j + ca[1]]))
-                kinds.append("in")
-            if (va < 0.0) != (vb < 0.0):
-                t = va / (va - vb)
-                verts.append((xs[i + ca[0]] + t * (cb[0] - ca[0]) * h,
-                              ys[j + ca[1]] + t * (cb[1] - ca[1]) * h))
-                kinds.append("exit" if va < 0.0 else "entry")
-        m = len(verts)
-        for k in range(m):
-            if kinds[k] == "exit":
-                k2 = (k + 1) % m
-                p0.append(verts[k])
-                p1.append(verts[k2])
-    if not p0:
+    i, j, v, cross, t = kernels.mixed_cells(ls)
+    # walking each cell CCW, an exit crossing (inside -> outside) is joined
+    # to the next crossing of the cell, the entry that closes the chord
+    c, k0 = np.nonzero(cross & (v < 0.0))
+    if len(c) == 0:
         raise DegenerateBoundary("no zero crossing in level-set field")
-    p0 = np.asarray(p0)
-    p1 = np.asarray(p1)
+    k1 = k0
+    for off in (3, 2, 1):
+        k = (k0 + off) % 4
+        k1 = np.where(cross[c, k], k, k1)
+    xs, ys = grid.xs, grid.ys
+
+    def crossing(k):
+        ca, cb = kernels.CORNERS[k], kernels.CORNERS[(k + 1) % 4]
+        tk = t[c, k]
+        return np.stack([xs[i[c] + ca[:, 0]] + tk * (cb[:, 0] - ca[:, 0]) * h,
+                         ys[j[c] + ca[:, 1]] + tk * (cb[:, 1] - ca[:, 1]) * h],
+                        axis=-1)
+
+    p0 = crossing(k0)
+    p1 = crossing(k1)
     mid = 0.5 * (p0 + p1)
     seg = p1 - p0
     ds = np.hypot(seg[:, 0], seg[:, 1])
     keep = ds > 1e-12 * h
-    p0, p1, mid, seg, ds = p0[keep], p1[keep], mid[keep], seg[keep], ds[keep]
+    mid, seg, ds = mid[keep], seg[keep], ds[keep]
     gx, gy = _node_gradient(ls, h)
     nx = interp_bilinear(gx, grid, mid)
     ny = interp_bilinear(gy, grid, mid)
@@ -257,7 +243,7 @@ def boundary_samples(d):
 
 
 def reinitialize(d):
-    """Rebuild ls as a signed distance function (fast sweeping eikonal)."""
+    """Rebuild ls as a signed distance function (Jacobi eikonal iteration)."""
     grid = d.grid
     h = grid.h
     ls = d.ls

@@ -37,10 +37,6 @@ class SolverDiverged(TorsionShapeError):
     """Linear solver failed to reach the target residual."""
 
 
-class StencilStarved(TorsionShapeError):
-    """Too few interior points along the normal for a gradient stencil."""
-
-
 class AlphaOne(TorsionShapeError):
     """alpha = 1 is degenerate: no solution or infinitely many."""
 
@@ -55,10 +51,6 @@ class BadMultiplier(TorsionShapeError):
 
 class DegenerateWeight(TorsionShapeError):
     """Weight vanishes on the boundary; multiplier fit impossible."""
-
-
-class NonConvergence(TorsionShapeError):
-    """Optimizer hit the iteration cap without meeting its tolerance."""
 
 
 class ConfigParse(TorsionShapeError):

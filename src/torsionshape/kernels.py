@@ -1,77 +1,23 @@
-"""Hot numeric kernels.
+"""Hot numeric kernels, one numpy implementation each.
 
-Each kernel exists in two flavours: a numba ``@njit`` loop version and a
-pure-numpy (or plain-python) fallback.  The flavour is selected once at
-import time by the environment variable ``TORSIONSHAPE_NUMBA`` ("0",
-"false" or "off" forces the fallback path).  ``benchmarks/bench_kernels.py``
-compares the two.
+``mixed_cells`` is the marching-squares walk (Lorensen and Cline, SIGGRAPH
+1987) shared by the cut-cell quadrature here and the boundary extraction in
+``domain.boundary_samples``: both read the interface as the linear
+interpolant of the nodal level set along the cell edges.
 """
-
-import os
 
 import numpy as np
 
 _BIG = 1e30
 
-
-def _env_flag(name, default=True):
-    v = os.environ.get(name)
-    if v is None:
-        return default
-    return v.strip().lower() not in ("0", "false", "off", "no")
-
-
-USE_NUMBA = _env_flag("TORSIONSHAPE_NUMBA", True)
-
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        USE_NUMBA = False
-
-if not USE_NUMBA:
-    def njit(*args, **kwargs):  # no-op decorator for the fallback path
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
-
-
-if USE_NUMBA:
-    try:  # optional thread cap, honoured only when numba is active
-        _threads = os.environ.get("TORSIONSHAPE_THREADS")
-        if _threads:
-            import numba
-
-            numba.set_num_threads(max(1, int(_threads)))
-    except Exception:  # pragma: no cover
-        pass
+USE_NUMBA = False  # no compiled kernels; perfbench/worker.py still records it
 
 
 # ---------------------------------------------------------------------------
 # Poisson matrix-vector product (symmetric ghost-fluid stencil)
 # ---------------------------------------------------------------------------
 
-def _poisson_matvec_loop(diag, cw, ce, cs, cn, u, out):
-    n0, n1 = u.shape
-    for i in range(n0):
-        for j in range(n1):
-            v = diag[i, j] * u[i, j]
-            if cw[i, j] != 0.0:
-                v -= cw[i, j] * u[i - 1, j]
-            if ce[i, j] != 0.0:
-                v -= ce[i, j] * u[i + 1, j]
-            if cs[i, j] != 0.0:
-                v -= cs[i, j] * u[i, j - 1]
-            if cn[i, j] != 0.0:
-                v -= cn[i, j] * u[i, j + 1]
-            out[i, j] = v
-
-
-def _poisson_matvec_np(diag, cw, ce, cs, cn, u, out):
+def poisson_matvec(diag, cw, ce, cs, cn, u, out):
     np.multiply(diag, u, out=out)
     out[1:, :] -= cw[1:, :] * u[:-1, :]
     out[:-1, :] -= ce[:-1, :] * u[1:, :]
@@ -79,43 +25,9 @@ def _poisson_matvec_np(diag, cw, ce, cs, cn, u, out):
     out[:, :-1] -= cn[:, :-1] * u[:, 1:]
 
 
-poisson_matvec_np = _poisson_matvec_np
-if USE_NUMBA:
-    poisson_matvec = njit(cache=True)(_poisson_matvec_loop)
-else:
-    poisson_matvec = _poisson_matvec_np
-
-
 # ---------------------------------------------------------------------------
 # First-order upwind (Godunov) advection of a level set by a normal speed
 # ---------------------------------------------------------------------------
-
-def _advect_loop(ls, vn, h, dt, out):
-    n0, n1 = ls.shape
-    for i in range(n0):
-        im = i - 1 if i > 0 else 0
-        ip = i + 1 if i < n0 - 1 else n0 - 1
-        for j in range(n1):
-            jm = j - 1 if j > 0 else 0
-            jp = j + 1 if j < n1 - 1 else n1 - 1
-            dmx = (ls[i, j] - ls[im, j]) / h if i > 0 else (ls[ip, j] - ls[i, j]) / h
-            dpx = (ls[ip, j] - ls[i, j]) / h if i < n0 - 1 else dmx
-            dmy = (ls[i, j] - ls[i, jm]) / h if j > 0 else (ls[i, jp] - ls[i, j]) / h
-            dpy = (ls[i, jp] - ls[i, j]) / h if j < n1 - 1 else dmy
-            v = vn[i, j]
-            if v > 0.0:
-                a = max(dmx, 0.0)
-                b = min(dpx, 0.0)
-                c = max(dmy, 0.0)
-                d = min(dpy, 0.0)
-            else:
-                a = min(dmx, 0.0)
-                b = max(dpx, 0.0)
-                c = min(dmy, 0.0)
-                d = max(dpy, 0.0)
-            grad = np.sqrt(a * a + b * b + c * c + d * d)
-            out[i, j] = ls[i, j] - dt * v * grad
-
 
 def _one_sided_diffs(ls, h):
     dmx = np.empty_like(ls)
@@ -133,7 +45,7 @@ def _one_sided_diffs(ls, h):
     return dmx, dpx, dmy, dpy
 
 
-def _advect_np(ls, vn, h, dt, out):
+def advect_step(ls, vn, h, dt, out):
     dmx, dpx, dmy, dpy = _one_sided_diffs(ls, h)
     gp = np.sqrt(np.maximum(dmx, 0.0) ** 2 + np.minimum(dpx, 0.0) ** 2
                  + np.maximum(dmy, 0.0) ** 2 + np.minimum(dpy, 0.0) ** 2)
@@ -142,65 +54,11 @@ def _advect_np(ls, vn, h, dt, out):
     np.copyto(out, ls - dt * (np.maximum(vn, 0.0) * gp + np.minimum(vn, 0.0) * gm))
 
 
-advect_step_np = _advect_np
-if USE_NUMBA:
-    advect_step = njit(cache=True)(_advect_loop)
-else:
-    advect_step = _advect_np
-
-
 # ---------------------------------------------------------------------------
-# Eikonal solve |grad d| = 1 (fast sweeping / Jacobi iteration)
+# Eikonal solve |grad d| = 1 (Jacobi iteration)
 # ---------------------------------------------------------------------------
 
-def _eikonal_update(a, b, h):
-    # Godunov update from the two smallest axis neighbours
-    if abs(a - b) >= h:
-        return min(a, b) + h
-    return 0.5 * (a + b + np.sqrt(2.0 * h * h - (a - b) * (a - b)))
-
-
-def _eikonal_sweep_round(d, frozen, h):
-    n0, n1 = d.shape
-    maxchange = 0.0
-    for sweep in range(4):
-        if sweep == 0:
-            i0, i1, di, j0, j1, dj = 0, n0, 1, 0, n1, 1
-        elif sweep == 1:
-            i0, i1, di, j0, j1, dj = n0 - 1, -1, -1, 0, n1, 1
-        elif sweep == 2:
-            i0, i1, di, j0, j1, dj = n0 - 1, -1, -1, n1 - 1, -1, -1
-        else:
-            i0, i1, di, j0, j1, dj = 0, n0, 1, n1 - 1, -1, -1
-        for i in range(i0, i1, di):
-            for j in range(j0, j1, dj):
-                if frozen[i, j]:
-                    continue
-                a = _BIG
-                if i > 0 and d[i - 1, j] < a:
-                    a = d[i - 1, j]
-                if i < n0 - 1 and d[i + 1, j] < a:
-                    a = d[i + 1, j]
-                b = _BIG
-                if j > 0 and d[i, j - 1] < b:
-                    b = d[i, j - 1]
-                if j < n1 - 1 and d[i, j + 1] < b:
-                    b = d[i, j + 1]
-                if a >= _BIG and b >= _BIG:
-                    continue
-                if abs(a - b) >= h:
-                    new = min(a, b) + h
-                else:
-                    new = 0.5 * (a + b + np.sqrt(2.0 * h * h - (a - b) * (a - b)))
-                if new < d[i, j]:
-                    change = d[i, j] - new
-                    if change > maxchange:
-                        maxchange = change
-                    d[i, j] = new
-    return maxchange
-
-
-def _eikonal_np_round(d, frozen, h):
+def _eikonal_round(d, frozen, h):
     left = np.full_like(d, _BIG)
     right = np.full_like(d, _BIG)
     down = np.full_like(d, _BIG)
@@ -225,137 +83,106 @@ def _eikonal_np_round(d, frozen, h):
     return maxchange
 
 
-def _make_eikonal_solve(round_fn, max_rounds):
-    def eikonal_solve(d, frozen, h, tol_factor=1e-4):
-        """In-place unsigned distance solve; ``frozen`` nodes keep their values."""
-        tol = tol_factor * h
-        for _ in range(max_rounds):
-            if round_fn(d, frozen, h) < tol:
-                break
-        return d
-
-    return eikonal_solve
-
-
-eikonal_solve_np = _make_eikonal_solve(_eikonal_np_round, 100000)  # Jacobi, O(n) rounds
-if USE_NUMBA:
-    eikonal_solve = _make_eikonal_solve(njit(cache=True)(_eikonal_sweep_round), 30)
-else:
-    eikonal_solve = eikonal_solve_np
+def eikonal_solve(d, frozen, h, tol_factor=1e-4):
+    """In-place unsigned distance solve; ``frozen`` nodes keep their values."""
+    tol = tol_factor * h
+    for _ in range(100000):  # Jacobi needs O(n) rounds
+        if _eikonal_round(d, frozen, h) < tol:
+            break
+    return d
 
 
 # ---------------------------------------------------------------------------
-# Cut-cell areas and centroids from a nodal level set
+# Marching squares: cut cells, their areas and centroids
 # ---------------------------------------------------------------------------
 
-def _cell_poly_impl(v0, v1, v2, v3, h):
-    """Area and centroid of {ls < 0} in one cell, corners CCW from (0,0).
+# node offsets of cell corners k = 0..3, CCW from the cell's node (i, j)
+CORNERS = np.array([[0, 0], [1, 0], [1, 1], [0, 1]])
 
-    The interface is the linear interpolant along cell edges; matches the
-    marching-squares chords used for boundary extraction.
+
+def mixed_cells(ls):
+    """The cells with 1 to 3 corners in {ls < 0}, in C order.
+
+    Returns ``(i, j, v, cross, t)``: cell (i, j) spans nodes i..i+1,
+    j..j+1; ``v`` holds its corner values CCW from (i, j), shape (n, 4);
+    ``cross[:, k]`` marks a sign change along edge k -> k+1, and there
+    ``t[:, k] = v_k / (v_k - v_{k+1})`` is the fraction of the edge at which
+    the linear interpolant crosses zero (NaN on the other edges).
     """
-    xs = np.empty(8)
-    ys = np.empty(8)
-    cx = np.empty(4)
-    cy = np.empty(4)
-    cx[0], cy[0] = 0.0, 0.0
-    cx[1], cy[1] = h, 0.0
-    cx[2], cy[2] = h, h
-    cx[3], cy[3] = 0.0, h
-    vv = np.empty(4)
-    vv[0], vv[1], vv[2], vv[3] = v0, v1, v2, v3
-    m = 0
-    for k in range(4):
-        k2 = (k + 1) % 4
-        km = (k + 3) % 4
-        # corners strictly inside, plus on-interface corners flanked by the
-        # closed inside region (keeps grid-aligned boundaries exact)
-        if vv[k] < 0.0 or (vv[k] == 0.0 and vv[km] <= 0.0 and vv[k2] <= 0.0):
-            xs[m] = cx[k]
-            ys[m] = cy[k]
-            m += 1
-        if (vv[k] < 0.0) != (vv[k2] < 0.0):
-            t = vv[k] / (vv[k] - vv[k2])
-            xs[m] = cx[k] + t * (cx[k2] - cx[k])
-            ys[m] = cy[k] + t * (cy[k2] - cy[k])
-            m += 1
-    if m < 3:
-        return 0.0, 0.5 * h, 0.5 * h
-    area2 = 0.0
-    sx = 0.0
-    sy = 0.0
-    for k in range(m):
-        k2 = (k + 1) % m
-        cross = xs[k] * ys[k2] - xs[k2] * ys[k]
-        area2 += cross
-        sx += (xs[k] + xs[k2]) * cross
-        sy += (ys[k] + ys[k2]) * cross
-    area = 0.5 * area2
-    if area <= 1e-14 * h * h:
-        mx = 0.0
-        my = 0.0
-        for k in range(m):
-            mx += xs[k]
-            my += ys[k]
-        return max(area, 0.0), mx / m, my / m
-    return area, sx / (6.0 * area), sy / (6.0 * area)
+    inside = ls < 0.0
+    c = (inside[:-1, :-1].astype(np.int8) + inside[1:, :-1] + inside[1:, 1:]
+         + inside[:-1, 1:])
+    i, j = np.nonzero((c > 0) & (c < 4))
+    v = np.stack([ls[i, j], ls[i + 1, j], ls[i + 1, j + 1], ls[i, j + 1]], axis=1)
+    nxt = np.roll(v, -1, axis=1)
+    cross = (v < 0.0) != (nxt < 0.0)
+    t = np.divide(v, v - nxt, out=np.full(v.shape, np.nan), where=cross)
+    return i, j, v, cross, t
 
 
-def _cell_geometry_loop(ls, h, areas, cxs, cys):
-    n0, n1 = ls.shape
-    for i in range(n0 - 1):
-        for j in range(n1 - 1):
-            v0 = ls[i, j]
-            v1 = ls[i + 1, j]
-            v2 = ls[i + 1, j + 1]
-            v3 = ls[i, j + 1]
-            if v0 < 0.0 and v1 < 0.0 and v2 < 0.0 and v3 < 0.0:
-                areas[i, j] = h * h
-                cxs[i, j] = (i + 0.5) * h
-                cys[i, j] = (j + 0.5) * h
-            elif v0 >= 0.0 and v1 >= 0.0 and v2 >= 0.0 and v3 >= 0.0:
-                areas[i, j] = 0.0
-                cxs[i, j] = (i + 0.5) * h
-                cys[i, j] = (j + 0.5) * h
-            else:
-                a, cx, cy = _cell_poly(v0, v1, v2, v3, h)
-                areas[i, j] = a
-                cxs[i, j] = i * h + cx
-                cys[i, j] = j * h + cy
+def cell_geometry(ls, h):
+    """Per-cell area of {ls < 0} and its centroid, in box-local coordinates.
 
-
-def cell_geometry_np(ls, h):
+    A cut cell's polygon lists, for k = 0..3, corner k (if inside, or on the
+    interface between two closed-inside neighbours, which keeps grid-aligned
+    boundaries exact) and then the crossing on edge k -> k+1.  Its area and
+    centroid come from the shoelace formula, summed vertex by vertex.
+    """
     inside = ls < 0.0
     full = inside[:-1, :-1] & inside[1:, :-1] & inside[1:, 1:] & inside[:-1, 1:]
-    empty = ~(inside[:-1, :-1] | inside[1:, :-1] | inside[1:, 1:] | inside[:-1, 1:])
     n0, n1 = ls.shape
     ci = np.arange(n0 - 1)[:, None]
     cj = np.arange(n1 - 1)[None, :]
     areas = np.where(full, h * h, 0.0)
     cxs = (ci + 0.5) * h * np.ones_like(areas)
     cys = (cj + 0.5) * h * np.ones_like(areas)
-    mixed = ~(full | empty)
-    for i, j in zip(*np.nonzero(mixed)):
-        a, cx, cy = _cell_poly_impl(
-            ls[i, j], ls[i + 1, j], ls[i + 1, j + 1], ls[i, j + 1], h
-        )
-        areas[i, j] = a
-        cxs[i, j] = i * h + cx
-        cys[i, j] = j * h + cy
+    i, j, v, cross, t = mixed_cells(ls)
+
+    # 8 slots per cell: corner k at slot 2k, crossing on edge k at 2k + 1
+    vm, vp = np.roll(v, 1, axis=1), np.roll(v, -1, axis=1)
+    cx, cy = CORNERS[:, 0] * h, CORNERS[:, 1] * h
+    cx2, cy2 = np.roll(cx, -1), np.roll(cy, -1)
+    xs = np.empty((len(i), 8))
+    ys = np.empty((len(i), 8))
+    valid = np.empty((len(i), 8), dtype=bool)
+    xs[:, 0::2] = cx
+    ys[:, 0::2] = cy
+    valid[:, 0::2] = (v < 0.0) | ((v == 0.0) & (vm <= 0.0) & (vp <= 0.0))
+    xs[:, 1::2] = cx + t * (cx2 - cx)
+    ys[:, 1::2] = cy + t * (cy2 - cy)
+    valid[:, 1::2] = cross
+
+    # compact each polygon to its first m slots, pad with its vertex 0
+    order = np.argsort(~valid, axis=1, kind="stable")
+    xs = np.take_along_axis(xs, order, axis=1)
+    ys = np.take_along_axis(ys, order, axis=1)
+    m = np.count_nonzero(valid, axis=1)
+    used = np.arange(8) < m[:, None]
+    xs = np.where(used, xs, xs[:, :1])
+    ys = np.where(used, ys, ys[:, :1])
+
+    # the padding adds only zero cross products, so the sums match a
+    # vertex-by-vertex loop over the m vertices
+    area2 = np.zeros(len(i))
+    sx = np.zeros(len(i))
+    sy = np.zeros(len(i))
+    mx = np.zeros(len(i))
+    my = np.zeros(len(i))
+    for k in range(8):
+        k2 = (k + 1) % 8
+        cross = xs[:, k] * ys[:, k2] - xs[:, k2] * ys[:, k]
+        area2 += cross
+        sx += (xs[:, k] + xs[:, k2]) * cross
+        sy += (ys[:, k] + ys[:, k2]) * cross
+        mx += np.where(used[:, k], xs[:, k], 0.0)
+        my += np.where(used[:, k], ys[:, k], 0.0)
+    area = 0.5 * area2
+    # slivers take the vertex mean as centroid
+    sliver = area <= 1e-14 * h * h
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gx = np.where(sliver, mx / m, sx / (6.0 * area))
+        gy = np.where(sliver, my / m, sy / (6.0 * area))
+    areas[i, j] = np.maximum(area, 0.0)
+    cxs[i, j] = i * h + gx
+    cys[i, j] = j * h + gy
     return areas, cxs, cys
-
-
-if USE_NUMBA:
-    _cell_poly = njit(cache=True)(_cell_poly_impl)
-    _cell_geometry_nb = njit(cache=True)(_cell_geometry_loop)
-
-    def cell_geometry(ls, h):
-        n0, n1 = ls.shape
-        areas = np.empty((n0 - 1, n1 - 1))
-        cxs = np.empty_like(areas)
-        cys = np.empty_like(areas)
-        _cell_geometry_nb(ls, h, areas, cxs, cys)
-        return areas, cxs, cys
-else:
-    _cell_poly = _cell_poly_impl
-    cell_geometry = cell_geometry_np

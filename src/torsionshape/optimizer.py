@@ -8,9 +8,9 @@ from scipy.spatial import cKDTree
 from . import kernels
 from .domain import Domain, boundary_samples, reinitialize, scale_domain
 from .errors import AlphaOne, BadMultiplier, DegenerateWeight
-from .torsion import (_samples, boundary_gradient, energy_J,
-                      objective_scale_invariant, phi_constraint, residual_fbp,
-                      solve_torsion)
+from .oracle import multiplier_rescale
+from .torsion import (boundary_gradient, energy_J, objective_scale_invariant,
+                      phi_constraint, residual_fbp, solve_torsion)
 from .weight import eval_weight
 
 
@@ -72,7 +72,7 @@ def estimate_multiplier(u, w, mode="lsq"):
 
     "lsq" minimizes the weighted L2 misfit; "ratio" averages |grad u|^2/g^2.
     """
-    s = _samples(u)
+    s = u.samples
     grad, valid = boundary_gradient(u, samples=s)
     g = eval_weight(w, s.points)
     ds = s.ds
@@ -86,12 +86,12 @@ def estimate_multiplier(u, w, mode="lsq"):
 
 
 def fbp_rescale(d, mu, alpha):
-    """Homothety t Omega with t = (-2 mu)^(1/(2(alpha-1)))."""
+    """Homothety t Omega with t = oracle.multiplier_rescale(mu, alpha)."""
     if alpha == 1:
         raise AlphaOne("alpha = 1 admits no rescaling")
     if mu >= 0:
         raise BadMultiplier(f"need mu < 0, got {mu}")
-    t = (-2.0 * mu) ** (1.0 / (2.0 * (alpha - 1.0)))
+    t = multiplier_rescale(mu, alpha)
     return scale_domain(d, t), t
 
 

@@ -1,6 +1,7 @@
 """Torsion PDE solve on a level-set domain and the associated functionals."""
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -23,11 +24,13 @@ class StressField:
     iterations: int
     residual: float
 
-    _cache: dict = None
-
     def __post_init__(self):
-        object.__setattr__(self, "_cache", {})
         self.values.setflags(write=False)
+
+    @cached_property
+    def samples(self):
+        """Boundary samples of the domain, extracted on first use."""
+        return boundary_samples(self.domain)
 
 
 def _build_system(d):
@@ -181,13 +184,6 @@ def weighted_perimeter(w, d, samples=None):
     return float(np.sum(eval_weight(w, s.points) * s.ds))
 
 
-def _samples(u):
-    cache = u._cache
-    if "samples" not in cache:
-        cache["samples"] = boundary_samples(u.domain)
-    return cache["samples"]
-
-
 def boundary_gradient(u, samples=None):
     """|grad u| at boundary samples by one-sided differences along the normal.
 
@@ -198,7 +194,7 @@ def boundary_gradient(u, samples=None):
     d = u.domain
     grid = d.grid
     h = grid.h
-    s = _samples(u) if samples is None else samples
+    s = u.samples if samples is None else samples
     n = len(s)
     vals = np.zeros(n)
     valid = np.zeros(n, dtype=bool)
@@ -235,7 +231,7 @@ def boundary_gradient(u, samples=None):
 
 def residual_fbp(u, w, c):
     """Sup and L2 residuals of |grad u| = c*g over valid boundary samples."""
-    s = _samples(u)
+    s = u.samples
     grad, valid = boundary_gradient(u, samples=s)
     g = eval_weight(w, s.points)
     target = c * g
