@@ -9,8 +9,8 @@ import sys
 import numpy as np
 
 from . import oracle as oracle_mod
-from .domain import (Ball, GridSpec, Sublevel, atomic_open, boundary_samples,
-                     build_domain, load_domain, save_boundary, save_domain)
+from .domain import (Ball, GridSpec, Sublevel, atomic_open, build_domain,
+                     load_domain, save_boundary, save_domain, scale_domain)
 from .errors import ConfigParse, TorsionShapeError
 from .optimizer import OptimizerParams, optimize, shape_derivative
 from .torsion import (energy_J, objective_scale_invariant, phi_constraint,
@@ -92,15 +92,22 @@ def _grid_from_cfg(cfg):
 def _weight_from_cfg(cfg):
     try:
         return make_weight(cfg["weight"])
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise ConfigParse(f"bad weight spec: {e}") from e
 
 
 def _params_from_cfg(cfg):
     try:
         return OptimizerParams(**cfg.get("optimizer", {}))
-    except TypeError as e:
+    except (TypeError, ValueError) as e:
         raise ConfigParse(f"bad optimizer params: {e}") from e
+
+
+def _float_from_cfg(node, key, default):
+    try:
+        return float(node.get(key, default))
+    except (TypeError, ValueError) as e:
+        raise ConfigParse(f"bad {key}: {e}") from e
 
 
 _CHECKS = {
@@ -129,10 +136,9 @@ def cmd_solve(cfg, quiet):
     w = _weight_from_cfg(cfg)
     grid = _grid_from_cfg(cfg)
     params = _params_from_cfg(cfg)
+    scale = _float_from_cfg(cfg, "init_scale", 1.0)
     init = build_domain(grid, Sublevel(w, 1.0))
-    scale = float(cfg.get("init_scale", 1.0))
     if scale != 1.0:
-        from .domain import scale_domain
         init = scale_domain(init, scale)
     trace = optimize(w, init, params)
     out = cfg["out"]
@@ -145,7 +151,7 @@ def cmd_solve(cfg, quiet):
     save_domain(d, os.path.join(out, "domain.csv"))
     with atomic_open(os.path.join(out, "field.csv")) as fh:
         np.savetxt(fh, u.values, delimiter=",")
-    save_boundary(boundary_samples(d), os.path.join(out, "boundary.csv"))
+    save_boundary(d.samples, os.path.join(out, "boundary.csv"))
     res_sup, res_l2 = residual_fbp(u, w, 1.0)
     reports = _run_checks(cfg.get("checks", []), d, w)
     report = {
@@ -153,7 +159,7 @@ def cmd_solve(cfg, quiet):
         "config": cfg,
         "J": energy_J(u),
         "phi": phi_constraint(w, d),
-        "objective": objective_scale_invariant(w, d, u),
+        "objective": objective_scale_invariant(w, u),
         "residual_sup": res_sup,
         "residual_l2": res_l2,
         "rescale_factor": trace.final_rescale,
@@ -199,7 +205,7 @@ def cmd_derivcheck(cfg, quiet, delta=1e-2, rtol=2e-2):
 
         d = build_domain(grid, Ball(radius=R))
         u = solve_torsion(d)
-        dJ, dphi = shape_derivative(d, u, w, 1.0)
+        dJ, dphi = shape_derivative(u, w, 1.0)
         Jp, pp = J_phi(R + delta)
         Jm, pm = J_phi(R - delta)
         fdJ = (Jp - Jm) / (2 * delta)
@@ -216,8 +222,8 @@ def cmd_derivcheck(cfg, quiet, delta=1e-2, rtol=2e-2):
 
 def cmd_sweep(cfg, quiet):
     sw = cfg.get("sweep", {})
-    k = float(sw.get("k", 0.5))
-    alpha = float(sw.get("alpha", 2.0))
+    k = _float_from_cfg(sw, "k", 0.5)
+    alpha = _float_from_cfg(sw, "alpha", 2.0)
     eps_list = sw.get("eps", [0.02, 0.05, 0.1])
     grid = _grid_from_cfg(cfg)
     params = _params_from_cfg(cfg)
@@ -230,7 +236,7 @@ def cmd_sweep(cfg, quiet):
         w = make_weight(spec)
         init = build_domain(grid, Sublevel(w, 1.0))
         trace = optimize(w, init, params)
-        s = boundary_samples(trace.final_domain)
+        s = trace.final_domain.samples
         r = np.hypot(s.points[:, 0], s.points[:, 1])
         r_meas, R_meas = float(np.min(r)), float(np.max(r))
         if eps > 0:

@@ -4,6 +4,7 @@ import io
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import ndimage
@@ -62,7 +63,10 @@ class GridSpec:
 
 @dataclass(frozen=True, eq=False)
 class Domain:
-    """Bounded open set {ls < 0}; ls is nodal, negative inside."""
+    """Bounded open set {ls < 0}; ls is nodal, negative inside.
+
+    ``ls`` is read-only, so the geometry cached from it never goes stale.
+    """
 
     grid: GridSpec
     ls: np.ndarray
@@ -70,6 +74,22 @@ class Domain:
 
     def __post_init__(self):
         self.ls.setflags(write=False)
+
+    @cached_property
+    def quadrature(self):
+        """(weights, points): areas and centroids of the cells with area > 0."""
+        areas, cxs, cys = cell_quadrature(self)
+        mask = areas > 0.0
+        weights = areas[mask]
+        points = np.stack([cxs[mask], cys[mask]], axis=-1)
+        weights.setflags(write=False)
+        points.setflags(write=False)
+        return weights, points
+
+    @cached_property
+    def samples(self):
+        """Marching-squares boundary samples, see ``boundary_samples``."""
+        return boundary_samples(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,6 +99,10 @@ class BoundarySamples:
     points: np.ndarray   # (n, 2)
     normals: np.ndarray  # (n, 2) outward unit
     ds: np.ndarray       # (n,) segment lengths
+
+    def __post_init__(self):
+        for a in (self.points, self.normals, self.ds):
+            a.setflags(write=False)
 
     def __len__(self):
         return len(self.ds)
@@ -326,8 +350,8 @@ def hausdorff_distance(d1, d2):
     """Symmetric Hausdorff distance between the two boundary sample sets."""
     if d1.grid.shape != d2.grid.shape or d1.grid.box != d2.grid.box:
         raise GridMismatch("domains must share a grid")
-    b1 = boundary_samples(d1).points
-    b2 = boundary_samples(d2).points
+    b1 = d1.samples.points
+    b2 = d2.samples.points
     t1 = cKDTree(b1)
     t2 = cKDTree(b2)
     d12 = np.max(t2.query(b1)[0])

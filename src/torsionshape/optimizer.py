@@ -6,12 +6,15 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import kernels
-from .domain import Domain, boundary_samples, reinitialize, scale_domain
+from .domain import Domain, reinitialize, scale_domain
 from .errors import AlphaOne, BadMultiplier, DegenerateWeight
-from .oracle import multiplier_rescale
-from .torsion import (boundary_gradient, energy_J, objective_scale_invariant,
-                      phi_constraint, residual_fbp, solve_torsion)
+from .oracle import multiplier_rescale, phi_degree
+from .torsion import (energy_J, objective_scale_invariant, phi_constraint,
+                      residual_fbp, solve_torsion)
 from .weight import eval_weight
+
+
+MULTIPLIER_MODES = ("lsq", "ratio")
 
 
 @dataclass(frozen=True)
@@ -28,6 +31,9 @@ class OptimizerParams:
             raise ValueError("cfl must be in (0, 1)")
         if self.tol_residual <= 0 or self.tol_objective <= 0:
             raise ValueError("tolerances must be positive")
+        if self.multiplier_mode not in MULTIPLIER_MODES:
+            raise ValueError(f"multiplier_mode must be one of {MULTIPLIER_MODES}, "
+                             f"got {self.multiplier_mode!r}")
 
 
 @dataclass(eq=False)
@@ -47,20 +53,20 @@ def rescale_to_constraint(d, w):
     phi = phi_constraint(w, d)
     if phi <= 0:
         raise DegenerateWeight("phi must be positive")
-    t = phi ** (-1.0 / (2.0 * w.alpha + 2.0))
+    t = phi ** (-1.0 / phi_degree(w.alpha))
     return scale_domain(d, t), t
 
 
-def shape_derivative(d, u, w, vn):
-    """(dJ, dphi) for a per-sample normal speed vn.
+def shape_derivative(u, w, vn):
+    """(dJ, dphi) for a per-sample normal speed vn on u's domain.
 
     dJ = -(1/2) sum |grad u|^2 vn ds; dphi = sum g^2 vn ds.
     """
-    s = boundary_samples(d)
+    s = u.domain.samples
     vn = np.asarray(vn, dtype=float)
     if vn.ndim == 0:
         vn = np.full(len(s), float(vn))
-    grad, valid = boundary_gradient(u, samples=s)
+    grad, valid = u.gradient
     dJ = -0.5 * float(np.sum(grad[valid] ** 2 * vn[valid] * s.ds[valid]))
     g2 = eval_weight(w, s.points) ** 2
     dphi = float(np.sum(g2 * vn * s.ds))
@@ -72,8 +78,10 @@ def estimate_multiplier(u, w, mode="lsq"):
 
     "lsq" minimizes the weighted L2 misfit; "ratio" averages |grad u|^2/g^2.
     """
-    s = u.samples
-    grad, valid = boundary_gradient(u, samples=s)
+    if mode not in MULTIPLIER_MODES:
+        raise ValueError(f"unknown multiplier mode {mode!r}")
+    s = u.domain.samples
+    grad, valid = u.gradient
     g = eval_weight(w, s.points)
     ds = s.ds
     g4 = np.sum(g[valid] ** 4 * ds[valid])
@@ -136,11 +144,11 @@ def optimize(w, init, params=None):
     for it in range(params.max_iters):
         J = energy_J(u)
         phi = phi_constraint(w, d)
-        obj = objective_scale_invariant(w, d, u)
+        obj = objective_scale_invariant(w, u)
         c = np.sqrt(-2.0 * mu)
         res_sup, res_l2 = residual_fbp(u, w, c)
-        s = boundary_samples(d)
-        grad, valid = boundary_gradient(u, samples=s)
+        s = d.samples
+        grad, valid = u.gradient
         g2 = eval_weight(w, s.points) ** 2
         vn = 0.5 * grad ** 2 + mu * g2
         vn[~valid] = 0.0
@@ -175,7 +183,7 @@ def optimize(w, init, params=None):
                 steps_next = 0
             d_new, _ = rescale_to_constraint(d_new, w)
             u_new = solve_torsion(d_new)
-            obj_new = objective_scale_invariant(w, d_new, u_new)
+            obj_new = objective_scale_invariant(w, u_new)
             if obj_new <= obj + 1e-6 * abs(obj):
                 accepted = True
                 break

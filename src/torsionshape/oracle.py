@@ -13,6 +13,11 @@ def unit_sphere_area(N):
     return N * unit_ball_volume(N)
 
 
+def phi_degree(alpha, N=2):
+    """Degree 2 alpha + N of phi = integral of g^2 under x -> t x (J: N + 2)."""
+    return 2 * alpha + N
+
+
 def fbp_radius(k, alpha, N=2):
     """Radius of the ball solving the radial free-boundary problem.
 
@@ -44,7 +49,8 @@ def ball_energy_phi(R, k, alpha, N=2):
     omega = unit_ball_volume(N)
     sigma = unit_sphere_area(N)
     J = -omega * R ** (N + 2) / (2.0 * N * (N + 2))
-    phi = k * k * sigma * R ** (2 * alpha + N) / (2 * alpha + N)
+    p = phi_degree(alpha, N)
+    phi = k * k * sigma * R ** p / p
     return J, phi
 
 

@@ -7,8 +7,9 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from . import kernels
-from .domain import boundary_samples, cell_quadrature, interp_bilinear
+from .domain import interp_bilinear
 from .errors import EmptyDomain, SolverDiverged
+from .oracle import phi_degree
 from .weight import eval_weight
 
 THETA_MIN = 1e-2     # cut-cell fraction clamp, keeps the system well conditioned
@@ -17,7 +18,10 @@ CG_RTOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class StressField:
-    """Solution of -lap u = 1, u = 0 on the boundary, on d = {ls < 0}."""
+    """Solution of -lap u = 1, u = 0 on the boundary, on d = {ls < 0}.
+
+    ``values`` is read-only, so the cached boundary gradient never goes stale.
+    """
 
     domain: object
     values: np.ndarray   # nodal u, 0 outside
@@ -28,9 +32,12 @@ class StressField:
         self.values.setflags(write=False)
 
     @cached_property
-    def samples(self):
-        """Boundary samples of the domain, extracted on first use."""
-        return boundary_samples(self.domain)
+    def gradient(self):
+        """(values, valid mask) of ``boundary_gradient`` on ``domain.samples``."""
+        vals, valid = boundary_gradient(self)
+        vals.setflags(write=False)
+        valid.setflags(write=False)
+        return vals, valid
 
 
 def _build_system(d):
@@ -161,40 +168,36 @@ def solve_torsion(d, rtol=CG_RTOL):
 
 def energy_J(u):
     """J = -(1/2) * integral of u over the domain (cut-cell quadrature)."""
-    d = u.domain
-    areas, cxs, cys = cell_quadrature(d)
-    mask = areas > 0.0
-    pts = np.stack([cxs[mask], cys[mask]], axis=-1)
-    uc = interp_bilinear(u.values, d.grid, pts)
-    return float(-0.5 * np.sum(areas[mask] * uc))
+    weights, pts = u.domain.quadrature
+    uc = interp_bilinear(u.values, u.domain.grid, pts)
+    return float(-0.5 * np.sum(weights * uc))
 
 
 def phi_constraint(w, d):
     """Weighted volume: integral of g^2 over the domain."""
-    areas, cxs, cys = cell_quadrature(d)
-    mask = areas > 0.0
-    pts = np.stack([cxs[mask], cys[mask]], axis=-1)
+    weights, pts = d.quadrature
     g2 = eval_weight(w, pts) ** 2
-    return float(np.sum(areas[mask] * g2))
+    return float(np.sum(weights * g2))
 
 
-def weighted_perimeter(w, d, samples=None):
+def weighted_perimeter(w, d):
     """Integral of g over the boundary (marching-squares quadrature)."""
-    s = boundary_samples(d) if samples is None else samples
+    s = d.samples
     return float(np.sum(eval_weight(w, s.points) * s.ds))
 
 
-def boundary_gradient(u, samples=None):
+def boundary_gradient(u):
     """|grad u| at boundary samples by one-sided differences along the normal.
 
     Uses two interior points at depths m*h and (m+1)*h (m minimal such that
     all bilinear stencil nodes are interior) together with u = 0 at the
     sample point.  Returns (values, valid mask); starved samples are flagged.
+    ``u.gradient`` caches the result.
     """
     d = u.domain
     grid = d.grid
     h = grid.h
-    s = u.samples if samples is None else samples
+    s = d.samples
     n = len(s)
     vals = np.zeros(n)
     valid = np.zeros(n, dtype=bool)
@@ -231,8 +234,8 @@ def boundary_gradient(u, samples=None):
 
 def residual_fbp(u, w, c):
     """Sup and L2 residuals of |grad u| = c*g over valid boundary samples."""
-    s = u.samples
-    grad, valid = boundary_gradient(u, samples=s)
+    s = u.domain.samples
+    grad, valid = u.gradient
     g = eval_weight(w, s.points)
     target = c * g
     diff = grad[valid] - target[valid]
@@ -247,9 +250,9 @@ def residual_fbp(u, w, c):
     return res_sup, res_l2
 
 
-def objective_scale_invariant(w, d, u):
-    """phi^(-(2+N)/(2 alpha + N)) * J with N = 2; invariant under homotheties."""
+def objective_scale_invariant(w, u):
+    """phi^(-(N+2)/phi_degree) * J on u's domain, N = 2; homothety invariant."""
     J = energy_J(u)
-    phi = phi_constraint(w, d)
-    expo = 4.0 / (2.0 * w.alpha + 2.0)
+    phi = phi_constraint(w, u.domain)
+    expo = 4.0 / phi_degree(w.alpha)
     return float(phi ** (-expo) * J)

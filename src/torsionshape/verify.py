@@ -5,11 +5,11 @@ from dataclasses import dataclass, asdict
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .domain import (Domain, boundary_samples, build_domain, Sublevel,
-                     connected_components, hausdorff_distance, interp_bilinear,
-                     reflect, scale_domain, volume)
-from .errors import AlphaOne, GridMismatch, OutOfBox
-from .torsion import boundary_gradient, energy_J, phi_constraint, solve_torsion
+from .domain import (Sublevel, build_domain, connected_components,
+                     hausdorff_distance, interp_bilinear, reflect, scale_domain)
+from .errors import AlphaOne, GridMismatch
+from .oracle import phi_degree
+from .torsion import energy_J, phi_constraint, solve_torsion
 from .weight import sublevel_radius
 
 
@@ -28,7 +28,7 @@ class CheckReport:
 
 
 def _sample_angles_radii(d):
-    s = boundary_samples(d)
+    s = d.samples
     r = np.hypot(s.points[:, 0], s.points[:, 1])
     theta = np.mod(np.arctan2(s.points[:, 1], s.points[:, 0]), 2 * np.pi)
     return theta, r, s
@@ -101,7 +101,7 @@ def check_sandwich(d, w, slack=None):
     slack = (2 * h + 2e-2) if slack is None else slack
     g1 = build_domain(d.grid, Sublevel(w, 1.0))
     u1 = solve_torsion(g1)
-    grad, valid = boundary_gradient(u1)
+    grad, valid = u1.gradient
     A = float(np.min(grad[valid]))
     B = float(np.max(grad[valid]))
     e = 1.0 / (w.alpha - 1.0)
@@ -164,7 +164,8 @@ def check_scaling_laws(d, w, t, rtol=2e-2):
     J2 = energy_J(u2)
     phi2 = phi_constraint(w, d2)
     errJ = abs(J2 - t ** 4 * J) / abs(t ** 4 * J)
-    errP = abs(phi2 - t ** (2 * w.alpha + 2) * phi) / (t ** (2 * w.alpha + 2) * phi)
+    phi_t = t ** phi_degree(w.alpha) * phi
+    errP = abs(phi2 - phi_t) / phi_t
     measured = float(max(errJ, errP))
     return CheckReport("scaling", bool(measured <= rtol), measured=measured,
                        tol=rtol, witness={"t": t, "errJ": float(errJ),

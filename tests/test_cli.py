@@ -1,8 +1,10 @@
 """CLI: exit codes, artifact emission, determinism, subcommand behaviour."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,6 +65,18 @@ def test_unknown_check_exits_2(tmp_path):
     rc = main(["--quiet", "solve", "--out", str(tmp_path / "o"),
                "--override", 'checks=["bogus"]', *FAST_GRID])
     assert rc == 2
+
+
+@pytest.mark.parametrize("override", [
+    "optimizer.cfl=1.5", "optimizer.tol_residual=0",
+    'optimizer.multiplier_mode="bogus"', 'weight.alpha="abc"',
+    'init_scale="x"'])
+def test_bad_config_value_exits_2(tmp_path, capsys, override):
+    rc = main(["--quiet", "solve", "--out", str(tmp_path / "o"),
+               "--override", override,
+               "--override", "grid.nx=32", "--override", "grid.ny=32"])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
 def test_alpha_one_exits_3(tmp_path):
@@ -142,9 +156,12 @@ def test_sweep_subcommand(tmp_path, capsys):
 
 
 def test_console_entry_point():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     out = subprocess.run([sys.executable, "-m", "torsionshape.cli", "oracle",
                           "--k", "1", "--alpha", "3"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=env)
     assert out.returncode == 0
     rep = json.loads(out.stdout)
     assert rep["radius"] == pytest.approx(2.0 ** -0.5)

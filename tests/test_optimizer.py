@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from torsionshape import (Ball, Sublevel, build_domain, energy_J,
+from torsionshape import (Ball, Ellipse, Sublevel, build_domain, energy_J,
                           estimate_multiplier, fbp_rescale, hausdorff_distance,
                           optimize, phi_constraint, rescale_to_constraint,
                           residual_fbp, scale_domain, shape_derivative,
                           solve_torsion)
+from torsionshape import domain, kernels
 from torsionshape.optimizer import OptimizerParams
 from torsionshape.errors import AlphaOne, BadMultiplier
 from torsionshape.weight import radial_weight
@@ -18,6 +19,8 @@ def test_optimizer_params_validated():
         OptimizerParams(cfl=1.5)
     with pytest.raises(ValueError):
         OptimizerParams(tol_residual=-1.0)
+    with pytest.raises(ValueError):
+        OptimizerParams(multiplier_mode="bogus")
 
 
 def test_rescale_to_constraint(grid256):
@@ -40,7 +43,7 @@ def test_shape_derivative_unit_ball(grid256):
     w = radial_weight(1.0, 2.0)
     d = build_domain(grid256, Ball(radius=1.0))
     u = solve_torsion(d)
-    dJ, dphi = shape_derivative(d, u, w, 1.0)
+    dJ, dphi = shape_derivative(u, w, 1.0)
     assert dJ == pytest.approx(-np.pi / 4.0, rel=2e-2)
     assert dphi == pytest.approx(2 * np.pi, rel=2e-2)
 
@@ -49,7 +52,7 @@ def test_shape_derivative_zero_velocity(grid128):
     w = radial_weight(1.0, 2.0)
     d = build_domain(grid128, Ball(radius=1.0))
     u = solve_torsion(d)
-    assert shape_derivative(d, u, w, 0.0) == (0.0, 0.0)
+    assert shape_derivative(u, w, 0.0) == (0.0, 0.0)
 
 
 def test_shape_derivative_matches_finite_difference(grid256):
@@ -63,7 +66,7 @@ def test_shape_derivative_matches_finite_difference(grid256):
     for R in (0.8, 1.0, 1.2):
         d = build_domain(grid256, Ball(radius=R))
         u = solve_torsion(d)
-        dJ, dphi = shape_derivative(d, u, w, 1.0)
+        dJ, dphi = shape_derivative(u, w, 1.0)
         Jp, pp = J_phi(R + delta)
         Jm, pm = J_phi(R - delta)
         assert dJ == pytest.approx((Jp - Jm) / (2 * delta), rel=2e-2)
@@ -75,6 +78,13 @@ def test_estimate_multiplier_radial_solution(grid256):
     u = solve_torsion(build_domain(grid256, Ball(radius=1.0)))
     for mode in ("lsq", "ratio"):
         assert estimate_multiplier(u, w, mode) == pytest.approx(-0.5, abs=5e-2)
+
+
+def test_estimate_multiplier_rejects_unknown_mode(grid64):
+    w = radial_weight(0.5, 2.0)
+    u = solve_torsion(build_domain(grid64, Ball(radius=1.0)))
+    with pytest.raises(ValueError):
+        estimate_multiplier(u, w, "bogus")
 
 
 def test_estimate_multiplier_exact_scaled_fit(grid256):
@@ -147,3 +157,28 @@ def test_optimize_unique_limit_from_two_inits(grid128):
         trace = optimize(w, scale_domain(base, s))
         finals.append(trace.final_domain)
     assert hausdorff_distance(*finals) <= 3 * grid128.h
+
+
+def test_optimize_builds_each_domain_geometry_once(grid64, monkeypatch):
+    calls = {"cell_geometry": 0, "boundary_samples": 0, "advect_step": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(kernels, "cell_geometry")
+    counted(domain, "boundary_samples")
+    counted(kernels, "advect_step")
+    trace = optimize(radial_weight(0.5, 2.0),
+                     build_domain(grid64, Ellipse(1.3, 0.7)))
+    trials = calls["advect_step"]
+    assert trials >= 1 and len(trace.records) >= 2
+    # per trial step: the advected domain (projection) and its rescale
+    # (objective); plus the same two for the initial domain
+    assert calls["cell_geometry"] <= 2 * trials + 2
+    assert calls["boundary_samples"] <= trials + 1

@@ -44,6 +44,16 @@ def test_ball_energy_phi_scaling_exact():
         assert pt == pytest.approx(t ** (2 * alpha + N) * p1, rel=1e-12)
 
 
+def test_phi_degree_matches_ball_scaling():
+    assert oracle.phi_degree(2.0) == 6.0
+    t = 1.7
+    for N, alpha in ((2, 2.0), (2, 3.5), (3, 2.5)):
+        _, p1 = oracle.ball_energy_phi(1.0, 0.5, alpha, N)
+        _, pt = oracle.ball_energy_phi(t, 0.5, alpha, N)
+        assert np.log(pt / p1) / np.log(t) == pytest.approx(
+            oracle.phi_degree(alpha, N), rel=1e-12)
+
+
 def test_stability_radii_sup():
     r, R = oracle.stability_radii(0.5, 2.0, 2, 0.1, "sup")
     assert r == pytest.approx(0.9)

@@ -10,7 +10,7 @@ from torsionshape import (Ball, Domain, Ellipse, GridSpec, boundary_samples,
                           phi_constraint, residual_fbp, scale_domain,
                           solve_torsion, weighted_perimeter)
 from torsionshape import kernels, torsion
-from torsionshape.domain import Field, interp_bilinear
+from torsionshape.domain import Field, cell_quadrature, interp_bilinear
 from torsionshape.errors import EmptyDomain, SolverDiverged
 from torsionshape.torsion import (CG_RTOL, _build_system, _interior_operator,
                                   boundary_gradient)
@@ -209,9 +209,9 @@ def test_boundary_gradient_scaling_relation(grid256):
     u1 = solve_torsion(d)
     u2 = solve_torsion(scale_domain(d, t))
     s1 = boundary_samples(d)
-    g1, v1 = boundary_gradient(u1, samples=s1)
+    g1, v1 = boundary_gradient(u1)
     s2 = boundary_samples(u2.domain)
-    g2, v2 = boundary_gradient(u2, samples=s2)
+    g2, v2 = boundary_gradient(u2)
     tree = cKDTree(s1.points[v1])
     dist, idx = tree.query(s2.points[v2] / t)
     close = dist < 2 * grid256.h
@@ -239,7 +239,7 @@ def test_objective_value_and_exponent(grid256):
     w = radial_weight(1.0, 2.0)
     d = build_domain(grid256, Ball(radius=1.0))
     u = solve_torsion(d)
-    obj = objective_scale_invariant(w, d, u)
+    obj = objective_scale_invariant(w, u)
     assert obj == pytest.approx(-(np.pi / 16) * (np.pi / 3) ** (-2.0 / 3.0),
                                 rel=1e-2)
     assert obj == pytest.approx(
@@ -249,8 +249,35 @@ def test_objective_value_and_exponent(grid256):
 def test_objective_scale_invariance(grid256):
     w = radial_weight(0.5, 2.0)
     d = build_domain(grid256, Ball(radius=1.0))
-    base = objective_scale_invariant(w, d, solve_torsion(d))
+    base = objective_scale_invariant(w, solve_torsion(d))
     for t in (0.8, 1.37):
         dt = scale_domain(d, t)
-        val = objective_scale_invariant(w, dt, solve_torsion(dt))
+        val = objective_scale_invariant(w, solve_torsion(dt))
         assert val == pytest.approx(base, rel=1e-2)
+
+
+def test_cached_geometry_equals_fresh_computation(grid64):
+    d = build_domain(grid64, Ellipse(1.3, 0.7))
+    u = solve_torsion(d)
+    areas, cxs, cys = cell_quadrature(d)
+    mask = areas > 0.0
+    weights, pts = d.quadrature
+    assert np.array_equal(weights, areas[mask])
+    assert np.array_equal(pts, np.stack([cxs[mask], cys[mask]], axis=-1))
+    s = boundary_samples(d)
+    for name in ("points", "normals", "ds"):
+        assert np.array_equal(getattr(d.samples, name), getattr(s, name))
+    grad, valid = boundary_gradient(u)
+    assert np.array_equal(u.gradient[0], grad)
+    assert np.array_equal(u.gradient[1], valid)
+    assert d.quadrature is d.quadrature and d.samples is d.samples
+    assert u.gradient is u.gradient
+
+
+def test_cached_inputs_and_results_are_read_only(grid64):
+    d = build_domain(grid64, Ellipse(1.3, 0.7))
+    u = solve_torsion(d)
+    for arr in (d.ls, u.values, d.quadrature[0], d.quadrature[1],
+                d.samples.points, u.gradient[0], u.gradient[1]):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
