@@ -110,25 +110,27 @@ def _float_from_cfg(node, key, default):
         raise ConfigParse(f"bad {key}: {e}") from e
 
 
+# each check takes (d, w, h, g1, u): g1 is the seed {w < 1} and u the
+# torsion solution on d, when the caller has them, else None
 _CHECKS = {
-    "basic": lambda d, w, h: check_basic(d),
-    "starshaped": lambda d, w, h: check_starshaped(d, tol=2 * h),
-    "convex": lambda d, w, h: check_convex(d, tol=2 * h),
-    "radial_ball": lambda d, w, h: check_radial_ball(d, tol=3 * h),
-    "symmetry_x": lambda d, w, h: check_symmetry(d, 0, tol=2 * h),
-    "symmetry_y": lambda d, w, h: check_symmetry(d, 1, tol=2 * h),
-    "sandwich": lambda d, w, h: check_sandwich(d, w),
-    "scaling": lambda d, w, h: check_scaling_laws(d, w, 0.8),
+    "basic": lambda d, w, h, g1, u: check_basic(d),
+    "starshaped": lambda d, w, h, g1, u: check_starshaped(d, tol=2 * h),
+    "convex": lambda d, w, h, g1, u: check_convex(d, tol=2 * h),
+    "radial_ball": lambda d, w, h, g1, u: check_radial_ball(d, tol=3 * h),
+    "symmetry_x": lambda d, w, h, g1, u: check_symmetry(d, 0, tol=2 * h),
+    "symmetry_y": lambda d, w, h, g1, u: check_symmetry(d, 1, tol=2 * h),
+    "sandwich": lambda d, w, h, g1, u: check_sandwich(d, w, g1=g1),
+    "scaling": lambda d, w, h, g1, u: check_scaling_laws(d, w, 0.8, u=u),
 }
 
 
-def _run_checks(names, d, w):
+def _run_checks(names, d, w, g1=None, u=None):
     h = d.grid.h
     reports = []
     for name in names:
         if name not in _CHECKS:
             raise ConfigParse(f"unknown check {name!r}")
-        reports.append(_CHECKS[name](d, w, h))
+        reports.append(_CHECKS[name](d, w, h, g1, u))
     return reports
 
 
@@ -137,9 +139,8 @@ def cmd_solve(cfg, quiet):
     grid = _grid_from_cfg(cfg)
     params = _params_from_cfg(cfg)
     scale = _float_from_cfg(cfg, "init_scale", 1.0)
-    init = build_domain(grid, Sublevel(w, 1.0))
-    if scale != 1.0:
-        init = scale_domain(init, scale)
+    g1 = build_domain(grid, Sublevel(w, 1.0))
+    init = scale_domain(g1, scale) if scale != 1.0 else g1
     trace = optimize(w, init, params)
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
@@ -153,7 +154,7 @@ def cmd_solve(cfg, quiet):
         np.savetxt(fh, u.values, delimiter=",")
     save_boundary(d.samples, os.path.join(out, "boundary.csv"))
     res_sup, res_l2 = residual_fbp(u, w, 1.0)
-    reports = _run_checks(cfg.get("checks", []), d, w)
+    reports = _run_checks(cfg.get("checks", []), d, w, g1=g1, u=u)
     report = {
         "schema": 1,
         "config": cfg,
@@ -225,6 +226,10 @@ def cmd_sweep(cfg, quiet):
     k = _float_from_cfg(sw, "k", 0.5)
     alpha = _float_from_cfg(sw, "alpha", 2.0)
     eps_list = sw.get("eps", [0.02, 0.05, 0.1])
+    if not isinstance(eps_list, list) or not all(
+            isinstance(e, (int, float)) and not isinstance(e, bool)
+            for e in eps_list):
+        raise ConfigParse(f"sweep.eps must be a list of numbers, got {eps_list!r}")
     grid = _grid_from_cfg(cfg)
     params = _params_from_cfg(cfg)
     h = grid.h

@@ -15,6 +15,7 @@ from .errors import (DegenerateBoundary, EmptyDomain, GridMismatch, OutOfBox)
 from .weight import sublevel_radius
 
 MARGIN_CELLS = 4
+REINIT_BAND_CELLS = 8  # half-width of the redistanced tube, in cells
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,7 +268,13 @@ def boundary_samples(d):
 
 
 def reinitialize(d):
-    """Rebuild ls as a signed distance function (Jacobi eikonal iteration)."""
+    """Rebuild ls as a signed distance in a tube of ``REINIT_BAND_CELLS`` cells.
+
+    The narrow-band Jacobi eikonal solve makes ``|ls|`` the exact distance
+    to the front where it is below ``REINIT_BAND_CELLS * h`` and clamps it
+    to that value beyond, keeping every node's sign.  Every consumer reads
+    ``ls`` near the front or only its sign.
+    """
     grid = d.grid
     h = grid.h
     ls = d.ls
@@ -284,7 +291,7 @@ def reinitialize(d):
     dist = np.full(grid.shape, kernels._BIG)
     dist[flip] = np.abs(ls[flip]) / gn[flip]
     frozen = flip.copy()
-    kernels.eikonal_solve(dist, frozen, h)
+    kernels.eikonal_solve(dist, frozen, h, band=REINIT_BAND_CELLS)
     out = np.where(inside, -dist, dist)
     return Domain(grid, out, is_signed_distance=True)
 

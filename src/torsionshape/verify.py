@@ -93,13 +93,18 @@ def check_convex(d, tol=None):
                        witness={"point": pts[worst].tolist()})
 
 
-def check_sandwich(d, w, slack=None):
-    """Inclusions scaled-G1 <= Omega <= scaled-G1 from the torsion solve on G1."""
+def check_sandwich(d, w, slack=None, g1=None):
+    """Inclusions scaled-G1 <= Omega <= scaled-G1 from the torsion solve on G1.
+
+    ``g1`` is the domain ``build_domain(d.grid, Sublevel(w, 1.0))`` when the
+    caller already has it; otherwise it is built here.
+    """
     if w.alpha <= 1:
         raise AlphaOne("sandwich bounds need alpha > 1")
     h = d.grid.h
     slack = (2 * h + 2e-2) if slack is None else slack
-    g1 = build_domain(d.grid, Sublevel(w, 1.0))
+    if g1 is None:
+        g1 = build_domain(d.grid, Sublevel(w, 1.0))
     u1 = solve_torsion(g1)
     grad, valid = u1.gradient
     A = float(np.min(grad[valid]))
@@ -154,9 +159,16 @@ def check_inclusion(inner, outer, slack=None):
                        tol=slack, witness=witness)
 
 
-def check_scaling_laws(d, w, t, rtol=2e-2):
-    """J(tO) = t^4 J(O) and phi(tO) = t^(2 alpha + 2) phi(O) within rtol."""
-    u = solve_torsion(d)
+def check_scaling_laws(d, w, t, rtol=2e-2, u=None):
+    """J(tO) = t^4 J(O) and phi(tO) = t^(2 alpha + 2) phi(O) within rtol.
+
+    ``u`` is the torsion solution on ``d`` when the caller already has it;
+    otherwise it is solved here.
+    """
+    if u is None:
+        u = solve_torsion(d)
+    elif u.domain is not d:
+        raise ValueError("u must be the torsion solution on d")
     J = energy_J(u)
     phi = phi_constraint(w, d)
     d2 = scale_domain(d, t)

@@ -79,6 +79,15 @@ def test_bad_config_value_exits_2(tmp_path, capsys, override):
     assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
+@pytest.mark.parametrize("eps", ['"x"', "0.1", '[0.05, "x"]'])
+def test_sweep_non_numeric_eps_exits_2(tmp_path, capsys, eps):
+    rc = main(["--quiet", "sweep", "--out", str(tmp_path / "o"),
+               "--override", f"sweep.eps={eps}",
+               "--override", "grid.nx=32", "--override", "grid.ny=32"])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
 def test_alpha_one_exits_3(tmp_path):
     rc = main(["--quiet", "solve", "--out", str(tmp_path / "o"),
                "--override", "weight.alpha=1.0", *FAST_GRID])

@@ -7,6 +7,7 @@ from torsionshape import (Ball, Domain, Ellipse, GridSpec, Sublevel,
                           boundary_samples, build_domain, hausdorff_distance,
                           load_domain, reinitialize, save_domain, scale_domain,
                           schwarz_symmetrize, steiner_symmetrize, volume)
+from torsionshape import domain as domain_mod
 from torsionshape.domain import (Field, connected_components,
                                  random_starshaped_blob, reflect,
                                  save_boundary)
@@ -123,6 +124,21 @@ def test_reinitialize_gradient_near_boundary(grid128):
     band = np.abs(d.ls) < 5 * h
     band[:2, :] = band[-2:, :] = band[:, :2] = band[:, -2:] = False
     assert np.all(np.abs(gn[band] - 1.0) < 0.10)
+
+
+def test_banded_reinitialize_matches_full_solve_in_tube(grid128, monkeypatch):
+    pts = grid128.nodes()
+    ls = (pts[..., 0] / 1.3) ** 2 + (pts[..., 1] / 0.7) ** 2 - 1.0  # not a distance
+    d = build_domain(grid128, Field(ls), reinit=False)
+    width = domain_mod.REINIT_BAND_CELLS * grid128.h
+    banded = reinitialize(d).ls
+    monkeypatch.setattr(domain_mod, "REINIT_BAND_CELLS", None)  # full solve
+    full = reinitialize(d).ls
+    tube = np.abs(full) < width
+    assert np.max(np.abs(banded[tube] - full[tube])) <= 1e-9
+    assert np.array_equal(np.sign(banded), np.sign(ls))
+    assert np.max(np.abs(banded)) <= width
+    assert np.max(np.abs(full)) > width  # the band does cut the far field
 
 
 def test_steiner_recenters_offset_ball(grid128):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from torsionshape import kernels
-from torsionshape.domain import Domain, GridSpec, boundary_samples
+from torsionshape import domain, kernels
+from torsionshape.domain import (Domain, Field, GridSpec, boundary_samples,
+                                 build_domain, reinitialize)
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +96,24 @@ def test_eikonal_solve_reproduces_ball_distance(ball_ls):
     kernels.eikonal_solve(dist, flip, h)
     # seeded from an exact distance field, the solve must reproduce it
     assert np.max(np.abs(dist - np.abs(ls))) < 3 * h
+
+
+@pytest.mark.parametrize("n", [128, 384])
+def test_banded_eikonal_rounds_do_not_grow_with_n(n, monkeypatch):
+    grid = GridSpec(n, n, (-2.0, -2.0, 2.0, 2.0))
+    pts = grid.nodes()
+    ls = (pts[..., 0] / 1.3) ** 2 + (pts[..., 1] / 0.7) ** 2 - 1.0
+    d = build_domain(grid, Field(ls), reinit=False)
+    rounds = []
+    one_round = kernels._eikonal_round
+
+    def counted(*args):
+        rounds.append(1)
+        return one_round(*args)
+
+    monkeypatch.setattr(kernels, "_eikonal_round", counted)
+    reinitialize(d)
+    assert 0 < len(rounds) <= 2 * domain.REINIT_BAND_CELLS + 2
 
 
 def test_cell_geometry_ball_area(ball_ls):

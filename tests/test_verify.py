@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
-from torsionshape import Ball, Ellipse, build_domain, scale_domain
+from torsionshape import (Ball, Ellipse, Sublevel, build_domain, kernels,
+                          scale_domain, verify)
 from torsionshape.domain import Field, random_starshaped_blob
 from torsionshape.errors import AlphaOne, GridMismatch
 from torsionshape.verify import (check_basic, check_convex, check_inclusion,
                                  check_radial_ball, check_sandwich,
                                  check_scaling_laws, check_starshaped,
                                  check_symmetry)
-from torsionshape.weight import radial_weight
+from torsionshape.torsion import solve_torsion
+from torsionshape.weight import fourier_weight, radial_weight
 
 
 def _kidney(grid, bite_center=(1.0, 0.0), bite_radius=0.55):
@@ -96,6 +98,28 @@ def test_sandwich_requires_alpha_above_one(grid128):
                        radial_weight(0.5, 1.0))
 
 
+def test_sandwich_with_given_g1_equals_rebuilt(grid128, monkeypatch):
+    w = fourier_weight(2.0, [1.0, 0.3])
+    d = build_domain(grid128, Ellipse(1.2, 0.9))
+    g1 = build_domain(grid128, Sublevel(w, 1.0))
+    ref = check_sandwich(d, w)
+    solves = []
+
+    def no_rebuild(*args, **kwargs):
+        raise AssertionError("check_sandwich rebuilt G1")
+
+    def no_redistance(*args, **kwargs):
+        raise AssertionError("check_sandwich redistanced G1")
+
+    monkeypatch.setattr(verify, "build_domain", no_rebuild)
+    monkeypatch.setattr(kernels, "eikonal_solve", no_redistance)
+    monkeypatch.setattr(verify, "solve_torsion",
+                        lambda dom: solves.append(dom) or solve_torsion(dom))
+    rep = check_sandwich(d, w, g1=g1)
+    assert rep == ref
+    assert solves == [g1]
+
+
 def test_symmetry_centered_ball_passes(grid128):
     d = build_domain(grid128, Ball(radius=1.0))
     assert check_symmetry(d, 0).passed
@@ -163,6 +187,32 @@ def test_scaling_laws_blob(grid256):
     d = random_starshaped_blob(grid256, np.random.default_rng(21), r0=1.0,
                                amp=0.2)
     assert check_scaling_laws(d, w, 0.8).passed
+
+
+def test_scaling_laws_with_given_field_solves_once_less(grid128, monkeypatch):
+    w = radial_weight(0.5, 2.0)
+    d = random_starshaped_blob(grid128, np.random.default_rng(21), r0=1.0,
+                               amp=0.2)
+    u = solve_torsion(d)
+    calls = []
+    monkeypatch.setattr(verify, "solve_torsion",
+                        lambda dom: calls.append(dom) or solve_torsion(dom))
+    ref = check_scaling_laws(d, w, 0.8)
+    n_ref = len(calls)
+    calls.clear()
+    rep = check_scaling_laws(d, w, 0.8, u=u)
+    assert rep == ref
+    assert n_ref == 2
+    assert len(calls) == n_ref - 1
+    assert calls[0] is not d
+
+
+def test_scaling_laws_rejects_field_of_another_domain(grid128):
+    w = radial_weight(0.5, 2.0)
+    d = build_domain(grid128, Ball(radius=1.0))
+    other = solve_torsion(build_domain(grid128, Ball(radius=0.9)))
+    with pytest.raises(ValueError):
+        check_scaling_laws(d, w, 0.8, u=other)
 
 
 def test_report_serialization(grid128):
