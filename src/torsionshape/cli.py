@@ -55,6 +55,8 @@ def _apply_override(cfg, key, value):
     parts = key.split(".")
     for p in parts[:-1]:
         node = node.setdefault(p, {})
+        if not isinstance(node, dict):
+            raise ConfigParse(f"override {key!r}: {p!r} is not an object")
     node[parts[-1]] = value
 
 
@@ -110,27 +112,27 @@ def _float_from_cfg(node, key, default):
         raise ConfigParse(f"bad {key}: {e}") from e
 
 
-# each check takes (d, w, h, g1, u): g1 is the seed {w < 1} and u the
-# torsion solution on d, when the caller has them, else None
+# each check takes (d, w, g1, u): g1 is the seed {w < 1} and u the
+# torsion solution on d, when the caller has them, else None; the
+# tolerances are verify's own defaults
 _CHECKS = {
-    "basic": lambda d, w, h, g1, u: check_basic(d),
-    "starshaped": lambda d, w, h, g1, u: check_starshaped(d, tol=2 * h),
-    "convex": lambda d, w, h, g1, u: check_convex(d, tol=2 * h),
-    "radial_ball": lambda d, w, h, g1, u: check_radial_ball(d, tol=3 * h),
-    "symmetry_x": lambda d, w, h, g1, u: check_symmetry(d, 0, tol=2 * h),
-    "symmetry_y": lambda d, w, h, g1, u: check_symmetry(d, 1, tol=2 * h),
-    "sandwich": lambda d, w, h, g1, u: check_sandwich(d, w, g1=g1),
-    "scaling": lambda d, w, h, g1, u: check_scaling_laws(d, w, 0.8, u=u),
+    "basic": lambda d, w, g1, u: check_basic(d),
+    "starshaped": lambda d, w, g1, u: check_starshaped(d),
+    "convex": lambda d, w, g1, u: check_convex(d),
+    "radial_ball": lambda d, w, g1, u: check_radial_ball(d),
+    "symmetry_x": lambda d, w, g1, u: check_symmetry(d, 0),
+    "symmetry_y": lambda d, w, g1, u: check_symmetry(d, 1),
+    "sandwich": lambda d, w, g1, u: check_sandwich(d, w, g1=g1),
+    "scaling": lambda d, w, g1, u: check_scaling_laws(d, w, 0.8, u=u),
 }
 
 
 def _run_checks(names, d, w, g1=None, u=None):
-    h = d.grid.h
     reports = []
     for name in names:
         if name not in _CHECKS:
             raise ConfigParse(f"unknown check {name!r}")
-        reports.append(_CHECKS[name](d, w, h, g1, u))
+        reports.append(_CHECKS[name](d, w, g1, u))
     return reports
 
 
@@ -183,9 +185,12 @@ def cmd_oracle(args):
     return EXIT_OK
 
 
-def cmd_verify(cfg, domain_path, quiet):
+def cmd_verify(cfg, domain_path):
     w = _weight_from_cfg(cfg)
-    d = load_domain(domain_path)
+    try:
+        d = load_domain(domain_path)
+    except (OSError, ValueError, IndexError) as e:
+        raise ConfigParse(f"cannot read domain {domain_path}: {e}") from e
     reports = _run_checks(cfg.get("checks", ["basic"]), d, w)
     out = {"schema": 1, "checks": [r.to_json() for r in reports]}
     print(_dump_json(out), end="")
@@ -193,7 +198,7 @@ def cmd_verify(cfg, domain_path, quiet):
     return EXIT_OK if ok else EXIT_CHECKS_FAILED
 
 
-def cmd_derivcheck(cfg, quiet, delta=1e-2, rtol=2e-2):
+def cmd_derivcheck(cfg, delta=1e-2, rtol=2e-2):
     w = _weight_from_cfg(cfg)
     grid = _grid_from_cfg(cfg)
     rows = []
@@ -307,9 +312,9 @@ def main(argv=None):
         if args.command == "solve":
             return cmd_solve(cfg, args.quiet)
         if args.command == "verify":
-            return cmd_verify(cfg, args.domain, args.quiet)
+            return cmd_verify(cfg, args.domain)
         if args.command == "derivcheck":
-            return cmd_derivcheck(cfg, args.quiet)
+            return cmd_derivcheck(cfg)
         if args.command == "sweep":
             return cmd_sweep(cfg, args.quiet)
         raise ConfigParse(f"unknown command {args.command}")

@@ -1,6 +1,5 @@
 """Level-set representation of bounded planar domains on a Cartesian grid."""
 
-import io
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -149,7 +148,7 @@ def _validate(grid, ls):
         raise OutOfBox("zero level set violates the bounding-box margin")
 
 
-def build_domain(grid, seed, reinit=True):
+def build_domain(grid, seed):
     """Create a Domain from an analytic seed or an explicit nodal field."""
     pts = grid.nodes()
     if isinstance(seed, Ball):
@@ -174,21 +173,20 @@ def build_domain(grid, seed, reinit=True):
     else:
         raise TypeError(f"unknown seed {seed!r}")
     _validate(grid, ls)
-    d = Domain(grid, ls)
-    return reinitialize(d) if reinit else d
+    return reinitialize(Domain(grid, ls))
 
 
 # --- geometric primitives ---------------------------------------------------
 
 def cell_quadrature(d):
     """Per-cell inside areas and centroids (global coordinates)."""
-    areas, cxs, cys = kernels.cell_geometry(np.ascontiguousarray(d.ls), d.grid.h)
+    areas, cxs, cys = kernels.cell_geometry(d.ls, d.grid.h)
     x0, y0, _, _ = d.grid.box
     return areas, cxs + x0, cys + y0
 
 
 def volume(d):
-    areas, _, _ = kernels.cell_geometry(np.ascontiguousarray(d.ls), d.grid.h)
+    areas, _, _ = kernels.cell_geometry(d.ls, d.grid.h)
     return float(np.sum(areas))
 
 
@@ -288,10 +286,9 @@ def reinitialize(d):
         raise DegenerateBoundary("no zero crossing in level-set field")
     gx, gy = _node_gradient(ls, h)
     gn = np.clip(np.hypot(gx, gy), 0.2, 5.0)
-    dist = np.full(grid.shape, kernels._BIG)
+    dist = np.full(grid.shape, np.inf)
     dist[flip] = np.abs(ls[flip]) / gn[flip]
-    frozen = flip.copy()
-    kernels.eikonal_solve(dist, frozen, h, band=REINIT_BAND_CELLS)
+    kernels.eikonal_solve(dist, flip, h, band=REINIT_BAND_CELLS)
     out = np.where(inside, -dist, dist)
     return Domain(grid, out, is_signed_distance=True)
 
@@ -318,7 +315,7 @@ def steiner_symmetrize(d, axis):
     """
     grid = d.grid
     h = grid.h
-    areas, _, _ = kernels.cell_geometry(np.ascontiguousarray(d.ls), h)
+    areas, _, _ = kernels.cell_geometry(d.ls, h)
     col = np.sum(areas, axis=1 if axis == 1 else 0) / h
     coords = grid.ys if axis == 1 else grid.xs
     lengths = np.zeros(len(col) + 1)

@@ -8,8 +8,6 @@ interpolant of the nodal level set along the cell edges.
 
 import numpy as np
 
-_BIG = 1e30
-
 USE_NUMBA = False  # no compiled kernels; perfbench/worker.py still records it
 
 
@@ -17,12 +15,13 @@ USE_NUMBA = False  # no compiled kernels; perfbench/worker.py still records it
 # Poisson matrix-vector product (symmetric ghost-fluid stencil)
 # ---------------------------------------------------------------------------
 
-def poisson_matvec(diag, cw, ce, cs, cn, u, out):
-    np.multiply(diag, u, out=out)
+def poisson_matvec(diag, cw, ce, cs, cn, u):
+    out = diag * u
     out[1:, :] -= cw[1:, :] * u[:-1, :]
     out[:-1, :] -= ce[:-1, :] * u[1:, :]
     out[:, 1:] -= cs[:, 1:] * u[:, :-1]
     out[:, :-1] -= cn[:, :-1] * u[:, 1:]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -45,62 +44,52 @@ def _one_sided_diffs(ls, h):
     return dmx, dpx, dmy, dpy
 
 
-def advect_step(ls, vn, h, dt, out):
+def advect_step(ls, vn, h, dt):
     dmx, dpx, dmy, dpy = _one_sided_diffs(ls, h)
     gp = np.sqrt(np.maximum(dmx, 0.0) ** 2 + np.minimum(dpx, 0.0) ** 2
                  + np.maximum(dmy, 0.0) ** 2 + np.minimum(dpy, 0.0) ** 2)
     gm = np.sqrt(np.minimum(dmx, 0.0) ** 2 + np.maximum(dpx, 0.0) ** 2
                  + np.minimum(dmy, 0.0) ** 2 + np.maximum(dpy, 0.0) ** 2)
-    np.copyto(out, ls - dt * (np.maximum(vn, 0.0) * gp + np.minimum(vn, 0.0) * gm))
+    return ls - dt * (np.maximum(vn, 0.0) * gp + np.minimum(vn, 0.0) * gm)
 
 
 # ---------------------------------------------------------------------------
 # Eikonal solve |grad d| = 1 (Jacobi iteration)
 # ---------------------------------------------------------------------------
 
-def _eikonal_round(d, frozen, h):
-    left = np.full_like(d, _BIG)
-    right = np.full_like(d, _BIG)
-    down = np.full_like(d, _BIG)
-    up = np.full_like(d, _BIG)
-    left[1:, :] = d[:-1, :]
-    right[:-1, :] = d[1:, :]
-    down[:, 1:] = d[:, :-1]
-    up[:, :-1] = d[:, 1:]
-    a = np.minimum(left, right)
-    b = np.minimum(down, up)
+def _eikonal_round(d, frozen, h, cap):
+    p = np.pad(d, 1, constant_values=cap)
+    a = np.minimum(p[:-2, 1:-1], p[2:, 1:-1])
+    b = np.minimum(p[1:-1, :-2], p[1:-1, 2:])
     diff = np.abs(a - b)
     new = np.where(
         diff >= h,
         np.minimum(a, b) + h,
         0.5 * (a + b + np.sqrt(np.maximum(2.0 * h * h - diff * diff, 0.0))),
     )
-    new = np.where((a >= _BIG) & (b >= _BIG), d, new)
     new = np.minimum(d, new)
     new[frozen] = d[frozen]
-    maxchange = float(np.max(d - new))
     np.copyto(d, new)
-    return maxchange
 
 
-def eikonal_solve(d, frozen, h, tol_factor=1e-4, band=None):
-    """In-place unsigned distance solve; ``frozen`` nodes keep their values.
+def eikonal_solve(d, frozen, h, band):
+    """In-place unsigned distance in a tube; ``frozen`` nodes keep their values.
 
-    With ``band=None`` Jacobi runs to the tolerance over the whole grid,
-    which takes O(n) rounds.  With ``band=B`` the result is the same exact
-    distance wherever it is below ``B*h`` and is clamped to ``B*h`` beyond.
-    A round carries the front's values one cell further, so ``2B + 2``
-    rounds settle the tube; the iterates decrease towards the distance, so
-    the clamp never cuts into it (Adalsteinsson and Sethian, J. Comput.
-    Phys. 118, 1995).
+    The result is the converged Jacobi distance wherever that is below
+    ``C = band*h``, and ``C`` beyond it (Adalsteinsson and Sethian,
+    J. Comput. Phys. 118, 1995).  A round carries the front's values one
+    cell further, so ``2*band + 2`` rounds settle the tube.  Clamping ``d``
+    to ``C`` before the rounds gives the same values as clamping after
+    them: the update ``f(a, b)`` is nondecreasing in each argument, and for
+    ``a >= C`` both ``f(a, b)`` and ``f(C, b)`` are ``b + h`` when
+    ``b <= C - h`` and at least ``C`` otherwise, so
+    ``min(f(a, b), C) = min(f(min(a, C), min(b, C)), C)``.  Seeded at the
+    cap, the rounds need no sentinel for unreached nodes.
     """
-    tol = tol_factor * h
-    rounds = 100000 if band is None else 2 * band + 2
-    for _ in range(rounds):
-        if _eikonal_round(d, frozen, h) < tol:
-            break
-    if band is not None:
-        np.minimum(d, band * h, out=d)
+    cap = band * h
+    np.minimum(d, cap, out=d)
+    for _ in range(2 * band + 2):
+        _eikonal_round(d, frozen, h, cap)
     return d
 
 

@@ -14,9 +14,6 @@ from .torsion import (energy_J, objective_scale_invariant, phi_constraint,
 from .weight import eval_weight
 
 
-MULTIPLIER_MODES = ("lsq", "ratio")
-
-
 @dataclass(frozen=True)
 class OptimizerParams:
     max_iters: int = 200
@@ -24,16 +21,12 @@ class OptimizerParams:
     tol_residual: float = 5e-2
     tol_objective: float = 1e-6
     reinit_every: int = 10
-    multiplier_mode: str = "lsq"
 
     def __post_init__(self):
         if not 0.0 < self.cfl < 1.0:
             raise ValueError("cfl must be in (0, 1)")
         if self.tol_residual <= 0 or self.tol_objective <= 0:
             raise ValueError("tolerances must be positive")
-        if self.multiplier_mode not in MULTIPLIER_MODES:
-            raise ValueError(f"multiplier_mode must be one of {MULTIPLIER_MODES}, "
-                             f"got {self.multiplier_mode!r}")
 
 
 @dataclass(eq=False)
@@ -73,13 +66,11 @@ def shape_derivative(u, w, vn):
     return dJ, dphi
 
 
-def estimate_multiplier(u, w, mode="lsq"):
+def estimate_multiplier(u, w):
     """Multiplier of |grad u|^2 = -2 mu g^2, fitted over the boundary.
 
-    "lsq" minimizes the weighted L2 misfit; "ratio" averages |grad u|^2/g^2.
+    The fit minimizes the weighted L2 misfit.
     """
-    if mode not in MULTIPLIER_MODES:
-        raise ValueError(f"unknown multiplier mode {mode!r}")
     s = u.domain.samples
     grad, valid = u.gradient
     g = eval_weight(w, s.points)
@@ -87,8 +78,6 @@ def estimate_multiplier(u, w, mode="lsq"):
     g4 = np.sum(g[valid] ** 4 * ds[valid])
     if g4 < 1e-14:
         raise DegenerateWeight("boundary weight too small for a multiplier fit")
-    if mode == "ratio":
-        return -0.5 * float(np.mean(grad[valid] ** 2 / g[valid] ** 2))
     num = np.sum(grad[valid] ** 2 * g[valid] ** 2 * ds[valid])
     return -0.5 * float(num / g4)
 
@@ -138,7 +127,7 @@ def optimize(w, init, params=None):
     stall_count = 0
     reason = "max_iters"
     u = solve_torsion(d)
-    mu = estimate_multiplier(u, w, params.multiplier_mode)
+    mu = estimate_multiplier(u, w)
     steps_since_reinit = 0
 
     for it in range(params.max_iters):
@@ -174,8 +163,7 @@ def optimize(w, init, params=None):
         vn_ext = _extend_velocity(grid, s, vn)
         accepted = False
         for _ in range(5):
-            ls_new = np.empty(grid.shape)
-            kernels.advect_step(np.ascontiguousarray(d.ls), vn_ext, h, dt, ls_new)
+            ls_new = kernels.advect_step(d.ls, vn_ext, h, dt)
             d_new = Domain(grid, ls_new, is_signed_distance=False)
             steps_next = steps_since_reinit + 1
             if steps_next >= params.reinit_every:
@@ -195,7 +183,7 @@ def optimize(w, init, params=None):
         step_scale = min(1.0, step_scale * 1.5)
         d, u = d_new, u_new
         steps_since_reinit = steps_next
-        mu = estimate_multiplier(u, w, params.multiplier_mode)
+        mu = estimate_multiplier(u, w)
 
     final_d, t = fbp_rescale(d, mu, w.alpha)
     if not final_d.is_signed_distance:

@@ -141,7 +141,6 @@ def solve_torsion(d, rtol=CG_RTOL):
     tol = rtol * bnorm
     maxiter = 20 * max(d.grid.nx, d.grid.ny)
     x = np.zeros_like(b)
-    ax = np.empty_like(b)
     x_in = np.zeros_like(b_in)
     r = b_in.copy()
     it = 0
@@ -149,7 +148,7 @@ def solve_torsion(d, rtol=CG_RTOL):
         steps = _pcg(A, x_in, r, inv_d, tol, maxiter - it)
         it += steps
         x[inside] = x_in
-        kernels.poisson_matvec(diag, cw, ce, cs, cn, x, ax)
+        ax = kernels.poisson_matvec(diag, cw, ce, cs, cn, x)
         r = b_in - ax[inside]
         rnorm = np.sqrt(np.dot(r, r))
         if rnorm <= tol or steps == 0:  # met, or budget spent / breakdown

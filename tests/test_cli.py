@@ -70,7 +70,7 @@ def test_unknown_check_exits_2(tmp_path):
 @pytest.mark.parametrize("override", [
     "optimizer.cfl=1.5", "optimizer.tol_residual=0",
     'optimizer.multiplier_mode="bogus"', 'weight.alpha="abc"',
-    'init_scale="x"'])
+    'init_scale="x"', "weight.alpha.k=1"])
 def test_bad_config_value_exits_2(tmp_path, capsys, override):
     rc = main(["--quiet", "solve", "--out", str(tmp_path / "o"),
                "--override", override,
@@ -117,6 +117,17 @@ def test_verify_subcommand_pass_and_fail(tmp_path, capsys):
     rc = main(["--quiet", "verify", "--domain", str(off),
                "--override", 'checks=["basic"]'])
     assert rc == 1
+
+
+@pytest.mark.parametrize("header", [None, "a,b", "64"],
+                         ids=["missing", "non-numeric", "short"])
+def test_verify_unreadable_domain_exits_2(tmp_path, capsys, header):
+    path = tmp_path / "domain.csv"
+    if header is not None:
+        path.write_text(header + "\n0,0\n")
+    rc = main(["--quiet", "verify", "--domain", str(path)])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
 def test_derivcheck_subcommand(capsys):

@@ -67,7 +67,7 @@ def test_volume_unit_ball(grid256):
 def test_volume_aligned_square(grid256):
     pts = grid256.nodes()
     ls = np.maximum(np.abs(pts[..., 0]), np.abs(pts[..., 1])) - 0.5
-    d = build_domain(grid256, Field(ls), reinit=False)
+    d = Domain(grid256, ls)
     assert volume(d) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -116,7 +116,7 @@ def test_scale_domain_roundtrip(grid128):
 def test_reinitialize_gradient_near_boundary(grid128):
     pts = grid128.nodes()
     ls = (pts[..., 0] / 1.4) ** 2 + (pts[..., 1] / 0.7) ** 2 - 1.0  # not a distance
-    d = reinitialize(build_domain(grid128, Field(ls), reinit=False))
+    d = reinitialize(Domain(grid128, ls))
     h = grid128.h
     gx = np.gradient(d.ls, h, axis=0)
     gy = np.gradient(d.ls, h, axis=1)
@@ -129,15 +129,17 @@ def test_reinitialize_gradient_near_boundary(grid128):
 def test_banded_reinitialize_matches_full_solve_in_tube(grid128, monkeypatch):
     pts = grid128.nodes()
     ls = (pts[..., 0] / 1.3) ** 2 + (pts[..., 1] / 0.7) ** 2 - 1.0  # not a distance
-    d = build_domain(grid128, Field(ls), reinit=False)
+    d = Domain(grid128, ls)
     width = domain_mod.REINIT_BAND_CELLS * grid128.h
     banded = reinitialize(d).ls
-    monkeypatch.setattr(domain_mod, "REINIT_BAND_CELLS", None)  # full solve
+    # a tube twice the grid's width holds every node: the full solve
+    monkeypatch.setattr(domain_mod, "REINIT_BAND_CELLS", 2 * grid128.nx)
     full = reinitialize(d).ls
     tube = np.abs(full) < width
     assert np.max(np.abs(banded[tube] - full[tube])) <= 1e-9
     assert np.array_equal(np.sign(banded), np.sign(ls))
     assert np.max(np.abs(banded)) <= width
+    assert np.all(np.abs(banded[~tube]) == width)
     assert np.max(np.abs(full)) > width  # the band does cut the far field
 
 

@@ -19,8 +19,6 @@ def test_optimizer_params_validated():
         OptimizerParams(cfl=1.5)
     with pytest.raises(ValueError):
         OptimizerParams(tol_residual=-1.0)
-    with pytest.raises(ValueError):
-        OptimizerParams(multiplier_mode="bogus")
 
 
 def test_rescale_to_constraint(grid256):
@@ -76,15 +74,7 @@ def test_shape_derivative_matches_finite_difference(grid256):
 def test_estimate_multiplier_radial_solution(grid256):
     w = radial_weight(0.5, 2.0)
     u = solve_torsion(build_domain(grid256, Ball(radius=1.0)))
-    for mode in ("lsq", "ratio"):
-        assert estimate_multiplier(u, w, mode) == pytest.approx(-0.5, abs=5e-2)
-
-
-def test_estimate_multiplier_rejects_unknown_mode(grid64):
-    w = radial_weight(0.5, 2.0)
-    u = solve_torsion(build_domain(grid64, Ball(radius=1.0)))
-    with pytest.raises(ValueError):
-        estimate_multiplier(u, w, "bogus")
+    assert estimate_multiplier(u, w) == pytest.approx(-0.5, abs=5e-2)
 
 
 def test_estimate_multiplier_exact_scaled_fit(grid256):
