@@ -12,7 +12,7 @@ from . import oracle as oracle_mod
 from .domain import (Ball, GridSpec, Sublevel, atomic_open, build_domain,
                      load_domain, save_boundary, save_domain, scale_domain)
 from .errors import ConfigParse, TorsionShapeError
-from .optimizer import OptimizerParams, optimize, shape_derivative
+from .optimizer import TOL_RESIDUAL, optimize, shape_derivative
 from .torsion import (energy_J, objective_scale_invariant, phi_constraint,
                       residual_fbp, solve_torsion)
 from .verify import (check_basic, check_convex, check_radial_ball,
@@ -98,13 +98,6 @@ def _weight_from_cfg(cfg):
         raise ConfigParse(f"bad weight spec: {e}") from e
 
 
-def _params_from_cfg(cfg):
-    try:
-        return OptimizerParams(**cfg.get("optimizer", {}))
-    except (TypeError, ValueError) as e:
-        raise ConfigParse(f"bad optimizer params: {e}") from e
-
-
 def _float_from_cfg(node, key, default):
     try:
         return float(node.get(key, default))
@@ -112,9 +105,21 @@ def _float_from_cfg(node, key, default):
         raise ConfigParse(f"bad {key}: {e}") from e
 
 
+def _tol_residual_from_cfg(cfg):
+    """The flow's residual tolerance, the one optimizer setting."""
+    opt = cfg.get("optimizer", {})
+    if not isinstance(opt, dict) or set(opt) - {"tol_residual"}:
+        raise ConfigParse(f"bad optimizer params {opt!r}: "
+                          "only tol_residual is accepted")
+    tol = _float_from_cfg(opt, "tol_residual", TOL_RESIDUAL)
+    if not tol > 0:
+        raise ConfigParse(f"bad tol_residual {tol!r}: must be positive")
+    return tol
+
+
 # each check takes (d, w, g1, u): g1 is the seed {w < 1} and u the
-# torsion solution on d, when the caller has them, else None; the
-# tolerances are verify's own defaults
+# torsion solution on d, when the caller has them, else None; each
+# check sets its own tolerance
 _CHECKS = {
     "basic": lambda d, w, g1, u: check_basic(d),
     "starshaped": lambda d, w, g1, u: check_starshaped(d),
@@ -139,11 +144,11 @@ def _run_checks(names, d, w, g1=None, u=None):
 def cmd_solve(cfg, quiet):
     w = _weight_from_cfg(cfg)
     grid = _grid_from_cfg(cfg)
-    params = _params_from_cfg(cfg)
+    tol_residual = _tol_residual_from_cfg(cfg)
     scale = _float_from_cfg(cfg, "init_scale", 1.0)
     g1 = build_domain(grid, Sublevel(w, 1.0))
     init = scale_domain(g1, scale) if scale != 1.0 else g1
-    trace = optimize(w, init, params)
+    trace = optimize(w, init, tol_residual)
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     lines = "".join(json.dumps(rec, sort_keys=True) + "\n"
@@ -172,7 +177,7 @@ def cmd_solve(cfg, quiet):
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     _atomic_write(os.path.join(out, "report.json"), _dump_json(report))
-    ok = all(r.passed for r in reports) and res_sup <= params.tol_residual
+    ok = all(r.passed for r in reports) and res_sup <= tol_residual
     if not quiet:
         print(f"solve: residual_sup={res_sup:.3g} termination={trace.reason} "
               f"checks={'pass' if ok else 'FAIL'}")
@@ -198,7 +203,9 @@ def cmd_verify(cfg, domain_path):
     return EXIT_OK if ok else EXIT_CHECKS_FAILED
 
 
-def cmd_derivcheck(cfg, delta=1e-2, rtol=2e-2):
+def cmd_derivcheck(cfg):
+    """Shape derivative on balls against central differences in the radius."""
+    delta, rtol = 1e-2, 2e-2
     w = _weight_from_cfg(cfg)
     grid = _grid_from_cfg(cfg)
     rows = []
@@ -236,7 +243,7 @@ def cmd_sweep(cfg, quiet):
             for e in eps_list):
         raise ConfigParse(f"sweep.eps must be a list of numbers, got {eps_list!r}")
     grid = _grid_from_cfg(cfg)
-    params = _params_from_cfg(cfg)
+    tol_residual = _tol_residual_from_cfg(cfg)
     h = grid.h
     rows = []
     ok = True
@@ -245,7 +252,7 @@ def cmd_sweep(cfg, quiet):
                 "profile": {"type": "fourier", "a": [k, 0.0, k * eps]}}
         w = make_weight(spec)
         init = build_domain(grid, Sublevel(w, 1.0))
-        trace = optimize(w, init, params)
+        trace = optimize(w, init, tol_residual)
         s = trace.final_domain.samples
         r = np.hypot(s.points[:, 0], s.points[:, 1])
         r_meas, R_meas = float(np.min(r)), float(np.max(r))

@@ -191,7 +191,7 @@ def volume(d):
 
 
 def interp_bilinear(field, grid, pts):
-    """Bilinear interpolation of a nodal field at points (n, 2), edge-clamped."""
+    """Bilinear interpolation of a nodal field at points (..., 2), edge-clamped."""
     pts = np.asarray(pts, dtype=float)
     x0, y0, _, _ = grid.box
     h = grid.h
@@ -204,12 +204,6 @@ def interp_bilinear(field, grid, pts):
     f = field
     return ((1 - tx) * (1 - ty) * f[i, j] + tx * (1 - ty) * f[i + 1, j]
             + (1 - tx) * ty * f[i, j + 1] + tx * ty * f[i + 1, j + 1])
-
-
-def _node_gradient(ls, h):
-    gx = np.gradient(ls, h, axis=0)
-    gy = np.gradient(ls, h, axis=1)
-    return gx, gy
 
 
 def boundary_samples(d):
@@ -247,7 +241,7 @@ def boundary_samples(d):
     ds = np.hypot(seg[:, 0], seg[:, 1])
     keep = ds > 1e-12 * h
     mid, seg, ds = mid[keep], seg[keep], ds[keep]
-    gx, gy = _node_gradient(ls, h)
+    gx, gy = np.gradient(ls, h)
     nx = interp_bilinear(gx, grid, mid)
     ny = interp_bilinear(gy, grid, mid)
     nrm = np.hypot(nx, ny)
@@ -284,7 +278,7 @@ def reinitialize(d):
     flip[:, 1:] |= inside[:, :-1] != inside[:, 1:]
     if not np.any(flip):
         raise DegenerateBoundary("no zero crossing in level-set field")
-    gx, gy = _node_gradient(ls, h)
+    gx, gy = np.gradient(ls, h)
     gn = np.clip(np.hypot(gx, gy), 0.2, 5.0)
     dist = np.full(grid.shape, np.inf)
     dist[flip] = np.abs(ls[flip]) / gn[flip]
@@ -423,7 +417,7 @@ def load_domain(path):
         ls = np.loadtxt(fh, delimiter=",")
     grid = GridSpec(nx, ny, box)
     if ls.shape != grid.shape:
-        raise GridMismatch(f"field shape {ls.shape} does not match header")
+        raise ValueError(f"field shape {ls.shape} does not match header")
     return Domain(grid, ls)
 
 

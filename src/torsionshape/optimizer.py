@@ -1,6 +1,6 @@
 """Level-set gradient flow minimizing the torsional energy under phi = 1."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -13,32 +13,20 @@ from .torsion import (energy_J, objective_scale_invariant, phi_constraint,
                       residual_fbp, solve_torsion)
 from .weight import eval_weight
 
-
-@dataclass(frozen=True)
-class OptimizerParams:
-    max_iters: int = 200
-    cfl: float = 0.45
-    tol_residual: float = 5e-2
-    tol_objective: float = 1e-6
-    reinit_every: int = 10
-
-    def __post_init__(self):
-        if not 0.0 < self.cfl < 1.0:
-            raise ValueError("cfl must be in (0, 1)")
-        if self.tol_residual <= 0 or self.tol_objective <= 0:
-            raise ValueError("tolerances must be positive")
+MAX_ITERS = 200
+CFL = 0.45
+TOL_RESIDUAL = 5e-2
+TOL_OBJECTIVE = 1e-6
+REINIT_EVERY = 10
 
 
 @dataclass(eq=False)
 class OptimizationTrace:
-    records: list = field(default_factory=list)
-    final_domain: Domain = None
-    final_field: object = None
-    final_rescale: float = 1.0
-    reason: str = ""
-
-    def add(self, **kw):
-        self.records.append(kw)
+    records: list
+    final_domain: Domain
+    final_field: object
+    final_rescale: float
+    reason: str
 
 
 def rescale_to_constraint(d, w):
@@ -100,37 +88,35 @@ def _extend_velocity(grid, samples, vn_samples):
     return vn_samples[idx].reshape(grid.shape)
 
 
-def optimize(w, init, params=None):
+def optimize(w, init, tol_residual=TOL_RESIDUAL):
     """Gradient flow with normal speed (1/2)|grad u|^2 + mu g^2.
 
     Each accepted step advects the level set (first-order upwind, CFL
-    limited), reinitializes on schedule and projects back onto phi = 1 by
-    the exact homothety.  Terminates when the residual of |grad u| =
-    sqrt(-2 mu) g drops below tol (this equals, by homogeneity, the
-    free-boundary residual after the final multiplier rescale), when the
-    scale-invariant objective stalls, or at the iteration cap.  The final
-    domain is the multiplier rescale of the converged iterate.
+    limited), reinitializes every REINIT_EVERY iterations and projects back
+    onto phi = 1 by the exact homothety.  Terminates when the residual of
+    |grad u| = sqrt(-2 mu) g drops below tol_residual (this equals, by
+    homogeneity, the free-boundary residual after the final multiplier
+    rescale), when the scale-invariant objective stalls, or at MAX_ITERS.
+    The final domain is the multiplier rescale of the converged iterate.
     """
-    params = params or OptimizerParams()
-    if w.alpha == 1:
-        raise AlphaOne("optimization requires alpha != 1")
-    if w.alpha < 1:
+    if not tol_residual > 0:
+        raise ValueError("tol_residual must be positive")
+    if w.alpha <= 1:
         raise AlphaOne("optimization restricted to alpha > 1")
     grid = init.grid
     h = grid.h
     d, _ = rescale_to_constraint(init, w)
     if not d.is_signed_distance:
         d = reinitialize(d)
-    trace = OptimizationTrace()
+    records = []
     obj_prev = None
     step_scale = 1.0
     stall_count = 0
     reason = "max_iters"
     u = solve_torsion(d)
     mu = estimate_multiplier(u, w)
-    steps_since_reinit = 0
 
-    for it in range(params.max_iters):
+    for it in range(MAX_ITERS):
         J = energy_J(u)
         phi = phi_constraint(w, d)
         obj = objective_scale_invariant(w, u)
@@ -142,13 +128,13 @@ def optimize(w, init, params=None):
         vn = 0.5 * grad ** 2 + mu * g2
         vn[~valid] = 0.0
         vmax = float(np.max(np.abs(vn)))
-        dt = params.cfl * h / max(vmax, 1e-12) * step_scale
-        trace.add(iter=it, J=J, phi=phi, objective=obj, mu=mu,
-                  residual_sup=res_sup, residual_l2=res_l2, dt=dt)
-        if res_sup <= params.tol_residual:
+        dt = CFL * h / max(vmax, 1e-12) * step_scale
+        records.append(dict(iter=it, J=J, phi=phi, objective=obj, mu=mu,
+                            residual_sup=res_sup, residual_l2=res_l2, dt=dt))
+        if res_sup <= tol_residual:
             reason = "converged"
             break
-        if obj_prev is not None and abs(obj_prev - obj) < params.tol_objective * abs(obj):
+        if obj_prev is not None and abs(obj_prev - obj) < TOL_OBJECTIVE * abs(obj):
             stall_count += 1
             if stall_count >= 3:
                 reason = "stalled"
@@ -161,35 +147,31 @@ def optimize(w, init, params=None):
         obj_prev = obj
 
         vn_ext = _extend_velocity(grid, s, vn)
-        accepted = False
+        # every iteration that gets here accepts a step or ends the flow, so
+        # iteration it tries the (it + 1)-th step: redistance every
+        # REINIT_EVERY accepted steps
         for _ in range(5):
             ls_new = kernels.advect_step(d.ls, vn_ext, h, dt)
             d_new = Domain(grid, ls_new, is_signed_distance=False)
-            steps_next = steps_since_reinit + 1
-            if steps_next >= params.reinit_every:
+            if (it + 1) % REINIT_EVERY == 0:
                 d_new = reinitialize(d_new)
-                steps_next = 0
             d_new, _ = rescale_to_constraint(d_new, w)
             u_new = solve_torsion(d_new)
             obj_new = objective_scale_invariant(w, u_new)
             if obj_new <= obj + 1e-6 * abs(obj):
-                accepted = True
                 break
             dt *= 0.5
             step_scale = max(step_scale * 0.5, 1.0 / 32.0)
-        if not accepted:
+        else:
             reason = "stalled"
             break
         step_scale = min(1.0, step_scale * 1.5)
         d, u = d_new, u_new
-        steps_since_reinit = steps_next
         mu = estimate_multiplier(u, w)
 
     final_d, t = fbp_rescale(d, mu, w.alpha)
     if not final_d.is_signed_distance:
         final_d = reinitialize(final_d)
-    trace.final_domain = final_d
-    trace.final_field = solve_torsion(final_d)
-    trace.final_rescale = t
-    trace.reason = reason
-    return trace
+    return OptimizationTrace(records=records, final_domain=final_d,
+                             final_field=solve_torsion(final_d),
+                             final_rescale=t, reason=reason)

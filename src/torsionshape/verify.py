@@ -44,10 +44,10 @@ def check_basic(d):
                        tol=0.0, witness={"ls_origin": ls0, "components": ncomp})
 
 
-def check_starshaped(d, n_rays=360, tol=None):
-    """Along rays from the origin, the set must be left of a single crossing."""
+def check_starshaped(d):
+    """Along 360 rays from the origin, the set must be left of a single crossing."""
     h = d.grid.h
-    tol = 2 * h if tol is None else tol
+    tol = 2 * h
     ls0 = float(interp_bilinear(d.ls, d.grid, np.array([[0.0, 0.0]]))[0])
     if ls0 >= 0.0:
         return CheckReport("starshaped", False, measured=float(ls0), tol=tol,
@@ -56,29 +56,27 @@ def check_starshaped(d, n_rays=360, tol=None):
     rmax = min(x1, y1, -x0, -y0)
     nstep = int(2 * rmax / h) * 2
     rr = np.linspace(0.0, rmax, nstep)
-    worst = -np.inf
-    worst_theta = 0.0
-    angles = np.linspace(0.0, 2 * np.pi, n_rays, endpoint=False)
-    pts = np.empty((nstep, 2))
-    for th in angles:
-        pts[:, 0] = rr * np.cos(th)
-        pts[:, 1] = rr * np.sin(th)
-        vals = interp_bilinear(d.ls, d.grid, pts)
-        outside = np.nonzero(vals > 0.0)[0]
-        if len(outside) == 0:
-            continue
-        dip = -np.min(vals[outside[0]:])  # how far ls re-enters after exit
-        if dip > worst:
-            worst = dip
-            worst_theta = th
-    worst = max(worst, 0.0)
-    return CheckReport("starshaped", bool(worst <= tol), measured=float(worst),
-                       tol=tol, witness={"theta": float(worst_theta)})
+    angles = np.linspace(0.0, 2 * np.pi, 360, endpoint=False)
+    dip = []
+    # blocks of 10 rays: all 360 at once would hold ~18 MB of interpolation
+    # temporaries at 256^2, one block about 0.6 MB
+    for blk in np.array_split(angles, 36):
+        pts = np.stack([np.outer(np.cos(blk), rr),
+                        np.outer(np.sin(blk), rr)], axis=-1)
+        vals = interp_bilinear(d.ls, d.grid, pts)      # (ray, step)
+        # how far ls re-enters after the first exit; -inf if it never exits
+        after_exit = np.cumsum(vals > 0.0, axis=1) > 0
+        dip.append(-np.min(np.where(after_exit, vals, np.inf), axis=1))
+    dip = np.concatenate(dip)
+    k = int(np.argmax(dip))
+    worst = max(float(dip[k]), 0.0)
+    return CheckReport("starshaped", bool(worst <= tol), measured=worst,
+                       tol=tol, witness={"theta": float(angles[k])})
 
 
-def check_convex(d, tol=None):
-    """Max distance from boundary samples to their convex hull."""
-    tol = 2 * d.grid.h if tol is None else tol
+def check_convex(d):
+    """Max distance from boundary samples to their convex hull, within 2h."""
+    tol = 2 * d.grid.h
     _, _, s = _sample_angles_radii(d)
     pts = s.points
     hull = ConvexHull(pts)
@@ -93,16 +91,16 @@ def check_convex(d, tol=None):
                        witness={"point": pts[worst].tolist()})
 
 
-def check_sandwich(d, w, slack=None, g1=None):
+def check_sandwich(d, w, g1=None):
     """Inclusions scaled-G1 <= Omega <= scaled-G1 from the torsion solve on G1.
 
-    ``g1`` is the domain ``build_domain(d.grid, Sublevel(w, 1.0))`` when the
-    caller already has it; otherwise it is built here.
+    The inclusions must hold up to a slack of 2h + 2e-2.  ``g1`` is the
+    domain ``build_domain(d.grid, Sublevel(w, 1.0))`` when the caller
+    already has it; otherwise it is built here.
     """
     if w.alpha <= 1:
         raise AlphaOne("sandwich bounds need alpha > 1")
-    h = d.grid.h
-    slack = (2 * h + 2e-2) if slack is None else slack
+    slack = 2 * d.grid.h + 2e-2
     if g1 is None:
         g1 = build_domain(d.grid, Sublevel(w, 1.0))
     u1 = solve_torsion(g1)
@@ -123,16 +121,17 @@ def check_sandwich(d, w, slack=None, g1=None):
                                            "outer_scale": t_out})
 
 
-def check_symmetry(d, axis, tol=None):
-    tol = 2 * d.grid.h if tol is None else tol
+def check_symmetry(d, axis):
+    """Hausdorff distance to the mirror image about ``axis``, within 2h."""
+    tol = 2 * d.grid.h
     dist = hausdorff_distance(d, reflect(d, axis))
     return CheckReport("symmetry", bool(dist <= tol), measured=dist, tol=tol,
                        witness={"axis": axis})
 
 
-def check_radial_ball(d, tol=None):
-    """Spread of the per-sample boundary radius."""
-    tol = 3 * d.grid.h if tol is None else tol
+def check_radial_ball(d):
+    """Spread of the per-sample boundary radius, within 3h."""
+    tol = 3 * d.grid.h
     theta, r, _ = _sample_angles_radii(d)
     spread = float(np.max(r) - np.min(r))
     return CheckReport("radial_ball", bool(spread <= tol), measured=spread,
@@ -159,12 +158,13 @@ def check_inclusion(inner, outer, slack=None):
                        tol=slack, witness=witness)
 
 
-def check_scaling_laws(d, w, t, rtol=2e-2, u=None):
-    """J(tO) = t^4 J(O) and phi(tO) = t^(2 alpha + 2) phi(O) within rtol.
+def check_scaling_laws(d, w, t, u=None):
+    """J(tO) = t^4 J(O) and phi(tO) = t^(2 alpha + 2) phi(O) within 2e-2.
 
     ``u`` is the torsion solution on ``d`` when the caller already has it;
     otherwise it is solved here.
     """
+    rtol = 2e-2
     if u is None:
         u = solve_torsion(d)
     elif u.domain is not d:

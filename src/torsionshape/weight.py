@@ -142,15 +142,3 @@ def check_quasiconvex(w, n_samples=10000, tol=1e-9, rng=None):
         "witness": (x[0, worst].tolist(), x[1, worst].tolist()),
     }
 
-
-def weight_spec(w):
-    """JSON-serializable description, inverse of make_weight."""
-    if w.kind == "radial":
-        prof = {"type": "radial", "k": w.params["k"]}
-    elif w.kind == "fourier":
-        prof = {"type": "fourier", "a": list(w.params["a"]),
-                "b": list(w.params["b"][1:])}
-    else:
-        prof = {"type": "pnorm", "p": w.params["p"],
-                "a": w.params["a"], "b": w.params["b"]}
-    return {"alpha": w.alpha, "profile": prof}

@@ -9,8 +9,9 @@ import time
 import numpy as np
 import pytest
 
-from torsionshape import (GridSpec, OptimizerParams, Sublevel, boundary_samples,
-                          build_domain, make_weight, optimize)
+from torsionshape import (GridSpec, Sublevel, boundary_samples, build_domain,
+                          make_weight, optimize)
+from torsionshape.optimizer import TOL_RESIDUAL
 from torsionshape.weight import fourier_weight, radial_weight
 
 BOX = (-2.0, -2.0, 2.0, 2.0)
@@ -34,10 +35,10 @@ def grid256():
 class OptimizerRun:
     """A finished optimizer run plus its wall-clock time and boundary radii."""
 
-    def __init__(self, weight, grid, params=None):
+    def __init__(self, weight, grid, tol_residual=TOL_RESIDUAL):
         init = build_domain(grid, Sublevel(weight, 1.0))
         t0 = time.perf_counter()
-        self.trace = optimize(weight, init, params)
+        self.trace = optimize(weight, init, tol_residual=tol_residual)
         self.runtime = time.perf_counter() - t0
         self.weight = weight
         self.grid = grid
@@ -81,25 +82,26 @@ def _cos2_weight(k, eps, alpha=2.0):
 
 
 # Below the smallest seed residual of the sweep, eps_min / 2 = 0.01.
-SWEEP_PARAMS = OptimizerParams(tol_residual=5e-3)
+SWEEP_TOL = 5e-3
 
 
 @pytest.fixture(scope="session")
 def cos2_eps01_run(grid256):
     """Perturbed radial weight 0.5(1 + 0.1 cos 2theta): stability test case.
 
-    Runs with SWEEP_PARAMS, not the defaults, because it is also the eps = 0.1
-    member of sweep_runs: with tol_residual = 0.05 the flow stops after one
-    step, near the seed.
+    Runs with SWEEP_TOL, not the default tolerance, because it is also the
+    eps = 0.1 member of sweep_runs: with tol_residual = 0.05 the flow stops
+    after one step, near the seed.
     """
-    return OptimizerRun(_cos2_weight(0.5, 0.1), grid256, SWEEP_PARAMS)
+    return OptimizerRun(_cos2_weight(0.5, 0.1), grid256,
+                        tol_residual=SWEEP_TOL)
 
 
 @pytest.fixture(scope="session")
 def sweep_runs(grid256, cos2_eps01_run):
     """Perturbation sweep eps -> run for the stability bracket and width fit.
 
-    The tolerance is explicit (SWEEP_PARAMS) because the G_1 = {g < 1}
+    The tolerance is explicit (SWEEP_TOL) because the G_1 = {g < 1}
     seed's boundary responds with amplitude eps/2 instead of the solution's
     eps/3, so its relative residual is about eps/2 and the default
     tol_residual = 0.05 accepts it at iteration 0 for eps <= 0.05: the sweep
@@ -107,5 +109,6 @@ def sweep_runs(grid256, cos2_eps01_run):
     """
     runs = {0.1: cos2_eps01_run}
     for eps in (0.02, 0.05):
-        runs[eps] = OptimizerRun(_cos2_weight(0.5, eps), grid256, SWEEP_PARAMS)
+        runs[eps] = OptimizerRun(_cos2_weight(0.5, eps), grid256,
+                                 tol_residual=SWEEP_TOL)
     return runs

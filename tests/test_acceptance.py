@@ -162,20 +162,19 @@ def test_criterion_07_monotonicity(radial_run, radial_k06_run):
 
 def test_criterion_08_qualitative_suite(radial_run, fourier03_run, pnorm_run,
                                         cos2_eps01_run):
-    h = 4.0 / 256
     failures = []
     for label, run in (("radial", radial_run), ("fourier", fourier03_run),
                        ("pnorm", pnorm_run), ("cos2", cos2_eps01_run)):
         if not check_basic(run.domain).passed:
             failures.append(f"{label}:basic")
-        if not check_starshaped(run.domain, tol=2 * h).passed:
+        if not check_starshaped(run.domain).passed:
             failures.append(f"{label}:starshaped")
-    if not check_convex(pnorm_run.domain, tol=2 * h).passed:
+    if not check_convex(pnorm_run.domain).passed:
         failures.append("pnorm:convex")
     for axis in (0, 1):
-        if not check_symmetry(cos2_eps01_run.domain, axis, tol=2 * h).passed:
+        if not check_symmetry(cos2_eps01_run.domain, axis).passed:
             failures.append(f"cos2:symmetry_{'xy'[axis]}")
-    if not check_radial_ball(radial_run.domain, tol=3 * h).passed:
+    if not check_radial_ball(radial_run.domain).passed:
         failures.append("radial:ball")
     ok = not failures
     detail = "all checks passed" if ok else "failed: " + ", ".join(failures)

@@ -68,7 +68,7 @@ def test_unknown_check_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize("override", [
-    "optimizer.cfl=1.5", "optimizer.tol_residual=0",
+    "optimizer.cfl=1.5", "optimizer.tol_residual=0", "optimizer.max_iters=5",
     'optimizer.multiplier_mode="bogus"', 'weight.alpha="abc"',
     'init_scale="x"', "weight.alpha.k=1"])
 def test_bad_config_value_exits_2(tmp_path, capsys, override):
@@ -119,8 +119,9 @@ def test_verify_subcommand_pass_and_fail(tmp_path, capsys):
     assert rc == 1
 
 
-@pytest.mark.parametrize("header", [None, "a,b", "64"],
-                         ids=["missing", "non-numeric", "short"])
+@pytest.mark.parametrize("header", [None, "a,b", "64", "64,64,-2,-2,2,2"],
+                         ids=["missing", "non-numeric", "short",
+                              "body-mismatch"])
 def test_verify_unreadable_domain_exits_2(tmp_path, capsys, header):
     path = tmp_path / "domain.csv"
     if header is not None:

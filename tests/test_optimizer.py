@@ -8,17 +8,16 @@ from torsionshape import (Ball, Ellipse, Sublevel, build_domain, energy_J,
                           optimize, phi_constraint, rescale_to_constraint,
                           residual_fbp, scale_domain, shape_derivative,
                           solve_torsion)
-from torsionshape import domain, kernels
-from torsionshape.optimizer import OptimizerParams
+from torsionshape import domain, kernels, optimizer
+from torsionshape.optimizer import REINIT_EVERY
 from torsionshape.errors import AlphaOne, BadMultiplier
 from torsionshape.weight import radial_weight
 
 
-def test_optimizer_params_validated():
+def test_optimizer_params_validated(grid64):
+    init = build_domain(grid64, Ball(radius=1.0))
     with pytest.raises(ValueError):
-        OptimizerParams(cfl=1.5)
-    with pytest.raises(ValueError):
-        OptimizerParams(tol_residual=-1.0)
+        optimize(radial_weight(0.5, 2.0), init, tol_residual=-1.0)
 
 
 def test_rescale_to_constraint(grid256):
@@ -172,3 +171,37 @@ def test_optimize_builds_each_domain_geometry_once(grid64, monkeypatch):
     # (objective); plus the same two for the initial domain
     assert calls["cell_geometry"] <= 2 * trials + 2
     assert calls["boundary_samples"] <= trials + 1
+
+
+def test_optimize_redistances_on_schedule(grid64, monkeypatch):
+    # every trial step is advect (A), maybe redistance (R), torsion solve (S);
+    # the first trial of iteration it advects by the dt of its record, and
+    # each rejection halves it
+    events = []
+
+    def recorded(module, name, tag):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            events.append((tag, args[3] if tag == "A" else None))
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    recorded(optimizer, "reinitialize", "R")
+    recorded(optimizer, "solve_torsion", "S")
+    recorded(kernels, "advect_step", "A")
+    trace = optimize(radial_weight(0.5, 2.0),
+                     build_domain(grid64, Ellipse(1.3, 0.7)))
+    dts = [rec["dt"] for rec in trace.records]
+    trials = []
+    it = -1
+    for k, (tag, dt) in enumerate(events):
+        if tag == "A":
+            if it + 1 < len(dts) and dt == dts[it + 1]:
+                it += 1
+            trials.append((it, events[k + 1][0] == "R"))
+    # iteration REINIT_EVERY - 1 ran its trials, so the schedule fired
+    assert it + 1 > REINIT_EVERY
+    assert [i for i, redistanced in trials if redistanced] == [
+        i for i, _ in trials if (i + 1) % REINIT_EVERY == 0]

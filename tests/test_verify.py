@@ -134,9 +134,9 @@ def test_symmetry_offset_ball_fails(grid128):
 
 
 def test_radial_ball_exact_ball_passes(grid128):
-    rep = check_radial_ball(build_domain(grid128, Ball(radius=1.0)),
-                            tol=grid128.h)
+    rep = check_radial_ball(build_domain(grid128, Ball(radius=1.0)))
     assert rep.passed
+    assert rep.measured <= grid128.h
 
 
 def test_radial_ball_ellipse_fails(grid128):

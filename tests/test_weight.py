@@ -5,7 +5,7 @@ import pytest
 
 from torsionshape import check_quasiconvex, eval_weight, make_weight, sublevel_radius
 from torsionshape.errors import BadDegree, BadLevel, NonPositiveProfile
-from torsionshape.weight import fourier_weight, radial_weight, weight_spec
+from torsionshape.weight import fourier_weight, radial_weight
 
 
 def test_radial_constructor_evaluates_k_r_alpha():
@@ -131,14 +131,3 @@ def test_quasiconvex_cos3_fails_with_witness():
     assert fmid - 0.5 * f.sum() == pytest.approx(rep["worst_violation"])
     assert not _brute_force_quasiconvex(w)
 
-
-def test_weight_spec_roundtrip():
-    for w in (radial_weight(0.5, 2.0),
-              fourier_weight(2.0, [1.0, 0.3], b=[0.2]),
-              make_weight({"alpha": 3.0,
-                           "profile": {"type": "pnorm", "p": 4.0,
-                                       "a": 1.0, "b": 2.0}})):
-        w2 = make_weight(weight_spec(w))
-        theta = np.linspace(0, 2 * np.pi, 100)
-        assert w2.alpha == w.alpha
-        assert np.allclose(w2.profile(theta), w.profile(theta))
