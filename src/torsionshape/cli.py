@@ -10,7 +10,7 @@ import numpy as np
 
 from . import oracle as oracle_mod
 from .domain import (Ball, GridSpec, Sublevel, atomic_open, build_domain,
-                     load_domain, save_boundary, save_domain, scale_domain)
+                     load_domain, save_boundary, save_domain)
 from .errors import ConfigParse, TorsionShapeError
 from .optimizer import TOL_RESIDUAL, optimize, shape_derivative
 from .torsion import (energy_J, objective_scale_invariant, phi_constraint,
@@ -30,11 +30,10 @@ DEFAULT_CONFIG = {
     "weight": {"alpha": 2.0, "profile": {"type": "radial", "k": 0.5}},
     "grid": {"nx": 256, "ny": 256, "box": [-2.0, -2.0, 2.0, 2.0]},
     "optimizer": {},
-    "init_scale": 1.0,
     "checks": ["basic"],
     "out": "out",
-    "seed": "run",
 }
+COMMAND_KEYS = {"radii", "sweep"}   # read only by derivcheck and sweep
 
 
 def _atomic_write(path, text):
@@ -80,6 +79,9 @@ def load_config(path, overrides=()):
             raise ConfigParse(f"override {ov!r} is not KEY=VALUE")
         key, value = ov.split("=", 1)
         _apply_override(cfg, key, value)
+    unknown = set(cfg) - set(DEFAULT_CONFIG) - COMMAND_KEYS
+    if unknown:
+        raise ConfigParse(f"unknown config keys {sorted(unknown)}")
     return cfg
 
 
@@ -103,6 +105,15 @@ def _float_from_cfg(node, key, default):
         return float(node.get(key, default))
     except (TypeError, ValueError) as e:
         raise ConfigParse(f"bad {key}: {e}") from e
+
+
+def _number_list(vals, name):
+    """``vals`` if a list of non-boolean numbers, else raise ConfigParse."""
+    if not isinstance(vals, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            for v in vals):
+        raise ConfigParse(f"{name} must be a list of numbers, got {vals!r}")
+    return vals
 
 
 def _tol_residual_from_cfg(cfg):
@@ -145,10 +156,8 @@ def cmd_solve(cfg, quiet):
     w = _weight_from_cfg(cfg)
     grid = _grid_from_cfg(cfg)
     tol_residual = _tol_residual_from_cfg(cfg)
-    scale = _float_from_cfg(cfg, "init_scale", 1.0)
     g1 = build_domain(grid, Sublevel(w, 1.0))
-    init = scale_domain(g1, scale) if scale != 1.0 else g1
-    trace = optimize(w, init, tol_residual)
+    trace = optimize(w, g1, tol_residual)
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     lines = "".join(json.dumps(rec, sort_keys=True) + "\n"
@@ -208,9 +217,12 @@ def cmd_derivcheck(cfg):
     delta, rtol = 1e-2, 2e-2
     w = _weight_from_cfg(cfg)
     grid = _grid_from_cfg(cfg)
+    radii = _number_list(cfg.get("radii", [0.8, 1.0, 1.2]), "radii")
+    if not all(R > 0 for R in radii):
+        raise ConfigParse(f"radii must be positive, got {radii!r}")
     rows = []
     ok = True
-    for R in cfg.get("radii", [0.8, 1.0, 1.2]):
+    for R in radii:
         def J_phi(radius):
             d = build_domain(grid, Ball(radius=radius))
             u = solve_torsion(d)
@@ -237,11 +249,7 @@ def cmd_sweep(cfg, quiet):
     sw = cfg.get("sweep", {})
     k = _float_from_cfg(sw, "k", 0.5)
     alpha = _float_from_cfg(sw, "alpha", 2.0)
-    eps_list = sw.get("eps", [0.02, 0.05, 0.1])
-    if not isinstance(eps_list, list) or not all(
-            isinstance(e, (int, float)) and not isinstance(e, bool)
-            for e in eps_list):
-        raise ConfigParse(f"sweep.eps must be a list of numbers, got {eps_list!r}")
+    eps_list = _number_list(sw.get("eps", [0.02, 0.05, 0.1]), "sweep.eps")
     grid = _grid_from_cfg(cfg)
     tol_residual = _tol_residual_from_cfg(cfg)
     h = grid.h

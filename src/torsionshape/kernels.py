@@ -29,19 +29,14 @@ def poisson_matvec(diag, cw, ce, cs, cn, u):
 # ---------------------------------------------------------------------------
 
 def _one_sided_diffs(ls, h):
-    dmx = np.empty_like(ls)
-    dpx = np.empty_like(ls)
-    dmy = np.empty_like(ls)
-    dpy = np.empty_like(ls)
-    dmx[1:, :] = (ls[1:, :] - ls[:-1, :]) / h
-    dmx[0, :] = (ls[1, :] - ls[0, :]) / h
-    dpx[:-1, :] = (ls[1:, :] - ls[:-1, :]) / h
-    dpx[-1, :] = dmx[-1, :]
-    dmy[:, 1:] = (ls[:, 1:] - ls[:, :-1]) / h
-    dmy[:, 0] = (ls[:, 1] - ls[:, 0]) / h
-    dpy[:, :-1] = (ls[:, 1:] - ls[:, :-1]) / h
-    dpy[:, -1] = dmy[:, -1]
-    return dmx, dpx, dmy, dpy
+    """(dmx, dpx, dmy, dpy): per axis, one forward difference serves as both,
+    shifted by a node, with its edge row repeated."""
+    out = []
+    for axis in (0, 1):
+        fwd = np.diff(ls, axis=axis) / h
+        out += [np.concatenate([fwd.take([0], axis), fwd], axis),
+                np.concatenate([fwd, fwd.take([-1], axis)], axis)]
+    return out
 
 
 def advect_step(ls, vn, h, dt):

@@ -115,13 +115,12 @@ def optimize(w, init, tol_residual=TOL_RESIDUAL):
     reason = "max_iters"
     u = solve_torsion(d)
     mu = estimate_multiplier(u, w)
+    obj = objective_scale_invariant(w, u)
 
     for it in range(MAX_ITERS):
         J = energy_J(u)
         phi = phi_constraint(w, d)
-        obj = objective_scale_invariant(w, u)
-        c = np.sqrt(-2.0 * mu)
-        res_sup, res_l2 = residual_fbp(u, w, c)
+        res_sup, res_l2 = residual_fbp(u, w, np.sqrt(-2.0 * mu))
         s = d.samples
         grad, valid = u.gradient
         g2 = eval_weight(w, s.points) ** 2
@@ -166,7 +165,7 @@ def optimize(w, init, tol_residual=TOL_RESIDUAL):
             reason = "stalled"
             break
         step_scale = min(1.0, step_scale * 1.5)
-        d, u = d_new, u_new
+        d, u, obj = d_new, u_new, obj_new
         mu = estimate_multiplier(u, w)
 
     final_d, t = fbp_rescale(d, mu, w.alpha)

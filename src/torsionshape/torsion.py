@@ -188,46 +188,33 @@ def weighted_perimeter(w, d):
 def boundary_gradient(u):
     """|grad u| at boundary samples by one-sided differences along the normal.
 
-    Uses two interior points at depths m*h and (m+1)*h (m minimal such that
-    all bilinear stencil nodes are interior) together with u = 0 at the
-    sample point.  Returns (values, valid mask); starved samples are flagged.
-    ``u.gradient`` caches the result.
+    Uses two interior points at depths m*h and (m+1)*h (m = 1..4 minimal such
+    that all bilinear stencil nodes of both are interior) together with u = 0
+    at the sample point; one pass tests all five depths.  Returns (values,
+    valid mask); starved samples are 0 and flagged.  ``u.gradient`` caches
+    the result.
     """
     d = u.domain
     grid = d.grid
     h = grid.h
     s = d.samples
-    n = len(s)
-    vals = np.zeros(n)
-    valid = np.zeros(n, dtype=bool)
-    ls = d.ls
     x0, y0, _, _ = grid.box
-
-    def corners_inside(q):
-        fx = (q[:, 0] - x0) / h
-        fy = (q[:, 1] - y0) / h
-        i = np.clip(fx.astype(int), 0, grid.nx - 1)
-        j = np.clip(fy.astype(int), 0, grid.ny - 1)
-        return ((ls[i, j] < 0) & (ls[i + 1, j] < 0)
-                & (ls[i, j + 1] < 0) & (ls[i + 1, j + 1] < 0))
-
-    pending = np.arange(n)
-    for m in range(1, 5):
-        if len(pending) == 0:
-            break
-        q1 = s.points[pending] - m * h * s.normals[pending]
-        q2 = s.points[pending] - (m + 1) * h * s.normals[pending]
-        ok = corners_inside(q1) & corners_inside(q2)
-        sel = pending[ok]
-        if len(sel):
-            s1 = m * h
-            s2 = (m + 1) * h
-            u1 = interp_bilinear(u.values, grid, s.points[sel] - s1 * s.normals[sel])
-            u2 = interp_bilinear(u.values, grid, s.points[sel] - s2 * s.normals[sel])
-            vals[sel] = (u1 * s2 ** 2 - u2 * s1 ** 2) / (s1 * s2 * (s2 - s1))
-            valid[sel] = True
-        pending = pending[~ok]
-    vals = np.abs(vals)
+    depth = np.arange(1, 6) * h
+    q = s.points - depth[:, None, None] * s.normals   # (5, n, 2)
+    i = np.clip(((q[..., 0] - x0) / h).astype(int), 0, grid.nx - 1)
+    j = np.clip(((q[..., 1] - y0) / h).astype(int), 0, grid.ny - 1)
+    inside = d.ls < 0
+    corners_in = (inside[i, j] & inside[i + 1, j]
+                  & inside[i, j + 1] & inside[i + 1, j + 1])
+    ok = corners_in[:-1] & corners_in[1:]
+    valid = ok.any(axis=0)
+    sel = np.flatnonzero(valid)
+    m = np.argmax(ok, axis=0)[sel]
+    s1, s2 = depth[m], depth[m + 1]
+    u1 = interp_bilinear(u.values, grid, q[m, sel])
+    u2 = interp_bilinear(u.values, grid, q[m + 1, sel])
+    vals = np.zeros(len(s))
+    vals[sel] = np.abs((u1 * s2 ** 2 - u2 * s1 ** 2) / (s1 * s2 * (s2 - s1)))
     return vals, valid
 
 

@@ -45,7 +45,13 @@ def check_basic(d):
 
 
 def check_starshaped(d):
-    """Along 360 rays from the origin, the set must be left of a single crossing."""
+    """Along 360 rays from the origin, the set must be left of a single crossing.
+
+    ``measured`` is the deepest re-entry of ``ls`` after a ray's first exit.
+    A redistanced ``ls`` is clamped to ``REINIT_BAND_CELLS * h`` (8h), so the
+    measure saturates there and tied rays report the first as witness;
+    pass/fail is unaffected, since the 2h tolerance is below the cap.
+    """
     h = d.grid.h
     tol = 2 * h
     ls0 = float(interp_bilinear(d.ls, d.grid, np.array([[0.0, 0.0]]))[0])

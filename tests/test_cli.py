@@ -70,7 +70,8 @@ def test_unknown_check_exits_2(tmp_path):
 @pytest.mark.parametrize("override", [
     "optimizer.cfl=1.5", "optimizer.tol_residual=0", "optimizer.max_iters=5",
     'optimizer.multiplier_mode="bogus"', 'weight.alpha="abc"',
-    'init_scale="x"', "weight.alpha.k=1"])
+    'init_scale="x"', "weight.alpha.k=1", 'chekcs=["convex"]',
+    'optimzer={"tol_residual":0.01}'])
 def test_bad_config_value_exits_2(tmp_path, capsys, override):
     rc = main(["--quiet", "solve", "--out", str(tmp_path / "o"),
                "--override", override,
@@ -138,6 +139,14 @@ def test_derivcheck_subcommand(capsys):
     assert rc == 0
     assert out["pass"]
     assert out["rows"][0]["errJ"] <= 0.02
+
+
+@pytest.mark.parametrize("radii", ['"x"', "[-1]", "[true]"])
+def test_derivcheck_bad_radii_exits_2(capsys, radii):
+    rc = main(["--quiet", "derivcheck", "--override", f"radii={radii}",
+               "--override", "grid.nx=32", "--override", "grid.ny=32"])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
 def test_solve_failed_write_keeps_old_artifact(tmp_path, monkeypatch):

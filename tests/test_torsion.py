@@ -10,7 +10,7 @@ from torsionshape import (Ball, Domain, Ellipse, GridSpec, boundary_samples,
                           phi_constraint, residual_fbp, scale_domain,
                           solve_torsion, weighted_perimeter)
 from torsionshape import kernels, torsion
-from torsionshape.domain import cell_quadrature
+from torsionshape.domain import cell_quadrature, interp_bilinear
 from torsionshape.errors import EmptyDomain, SolverDiverged
 from torsionshape.torsion import (CG_RTOL, _build_system, _interior_operator,
                                   boundary_gradient)
@@ -200,6 +200,47 @@ def test_boundary_gradient_ball_radius_two():
     u = solve_torsion(build_domain(grid, Ball(radius=2.0)))
     grad, valid = boundary_gradient(u)
     assert np.max(np.abs(grad[valid] - 1.0)) < 2e-2
+
+
+def _two_point_reference(u):
+    """Sample by sample: the shallowest depths m*h, (m+1)*h, m = 1..4, whose
+    bilinear stencils are all interior, and the two-point |grad u| there."""
+    d = u.domain
+    grid = d.grid
+    h = grid.h
+    x0, y0, _, _ = grid.box
+    s = d.samples
+    ref = np.zeros(len(s))
+    ref_valid = np.zeros(len(s), dtype=bool)
+
+    def stencil_inside(q):
+        i = min(max(int((q[0] - x0) / h), 0), grid.nx - 1)
+        j = min(max(int((q[1] - y0) / h), 0), grid.ny - 1)
+        return bool(np.all(d.ls[i:i + 2, j:j + 2] < 0))
+
+    for k, (p, nrm) in enumerate(zip(s.points, s.normals)):
+        for m in range(1, 5):
+            s1, s2 = m * h, (m + 1) * h
+            q1, q2 = p - s1 * nrm, p - s2 * nrm
+            if stencil_inside(q1) and stencil_inside(q2):
+                u1, u2 = interp_bilinear(u.values, grid, np.array([q1, q2]))
+                ref[k] = abs((u1 * s2 ** 2 - u2 * s1 ** 2)
+                             / (s1 * s2 * (s2 - s1)))
+                ref_valid[k] = True
+                break
+    return ref, ref_valid
+
+
+@pytest.mark.parametrize("b", [0.12, 0.15])
+def test_boundary_gradient_starved_samples(grid64, b):
+    # a thin ellipse: near its tips no depth pair has an interior stencil
+    u = solve_torsion(build_domain(grid64, Ellipse(1.2, b)))
+    grad, valid = boundary_gradient(u)
+    assert not np.all(valid)
+    assert np.all(grad[~valid] == 0.0)
+    ref, ref_valid = _two_point_reference(u)
+    assert np.array_equal(valid, ref_valid)
+    assert np.array_equal(grad, ref)
 
 
 def test_boundary_gradient_scaling_relation(grid256):
