@@ -1,6 +1,7 @@
 """Command-line entry point: run orchestration and artifact emission."""
 
 import argparse
+import copy
 import datetime
 import json
 import os
@@ -11,7 +12,8 @@ import numpy as np
 from . import oracle as oracle_mod
 from .domain import (Ball, GridSpec, Sublevel, atomic_open, build_domain,
                      load_domain, save_boundary, save_domain)
-from .errors import ConfigParse, TorsionShapeError
+from .errors import (BadDegree, ConfigParse, NonPositiveProfile,
+                     TorsionShapeError)
 from .optimizer import TOL_RESIDUAL, optimize, shape_derivative
 from .torsion import (energy_J, objective_scale_invariant, phi_constraint,
                       residual_fbp, solve_torsion)
@@ -25,15 +27,31 @@ EXIT_CHECKS_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
+# every key any command reads, with its default; see _merge for the rules
 DEFAULT_CONFIG = {
     "schema": 1,
     "weight": {"alpha": 2.0, "profile": {"type": "radial", "k": 0.5}},
     "grid": {"nx": 256, "ny": 256, "box": [-2.0, -2.0, 2.0, 2.0]},
-    "optimizer": {},
+    "optimizer": {"tol_residual": TOL_RESIDUAL},
     "checks": ["basic"],
+    "radii": [0.8, 1.0, 1.2],                                 # derivcheck
+    "sweep": {"k": 0.5, "alpha": 2.0, "eps": [0.02, 0.05, 0.1]},
     "out": "out",
 }
-COMMAND_KEYS = {"radii", "sweep"}   # read only by derivcheck and sweep
+
+# each check takes (d, w, g1, u): g1 is the seed {w < 1} and u the
+# torsion solution on d, when the caller has them, else None; each
+# check sets its own tolerance
+_CHECKS = {
+    "basic": lambda d, w, g1, u: check_basic(d),
+    "starshaped": lambda d, w, g1, u: check_starshaped(d),
+    "convex": lambda d, w, g1, u: check_convex(d),
+    "radial_ball": lambda d, w, g1, u: check_radial_ball(d),
+    "symmetry_x": lambda d, w, g1, u: check_symmetry(d, 0),
+    "symmetry_y": lambda d, w, g1, u: check_symmetry(d, 1),
+    "sandwich": lambda d, w, g1, u: check_sandwich(d, w, g1=g1),
+    "scaling": lambda d, w, g1, u: check_scaling_laws(d, w, 0.8, u=u),
+}
 
 
 def _atomic_write(path, text):
@@ -59,8 +77,36 @@ def _apply_override(cfg, key, value):
     node[parts[-1]] = value
 
 
+def _merge(default, user, path=()):
+    """``user`` laid over the table ``default``: a dict takes only its
+    default's keys, a list must be non-empty, and each value must be of its
+    default's kind (a float takes an int; a bool is no number).
+    ``weight.profile`` is taken whole: its keys depend on its type, and
+    ``make_weight`` checks them."""
+    if path == ("weight", "profile"):
+        return user
+    where = ".".join(path)
+    if isinstance(default, dict):
+        if not isinstance(user, dict):
+            raise ConfigParse(f"{where} must be an object, got {user!r}")
+        unknown = sorted(".".join((*path, k))
+                         for k in set(user) - set(default))
+        if unknown:
+            raise ConfigParse(f"unknown config keys {unknown}")
+        return {k: _merge(v, user[k], (*path, k)) if k in user else v
+                for k, v in default.items()}
+    if isinstance(default, list):
+        if not (isinstance(user, list) and user):
+            raise ConfigParse(f"{where} needs a non-empty list, got {user!r}")
+        return [_merge(default[0], v, path) for v in user]
+    kind = (int, float) if isinstance(default, float) else type(default)
+    if not isinstance(user, kind) or isinstance(user, bool):
+        raise ConfigParse(f"{where} must be like {default!r}, got {user!r}")
+    return user
+
+
 def load_config(path, overrides=()):
-    cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
+    user = {}
     if path is not None:
         try:
             with open(path) as fh:
@@ -69,93 +115,43 @@ def load_config(path, overrides=()):
             raise ConfigParse(f"cannot read config {path}: {e}") from e
         if not isinstance(user, dict):
             raise ConfigParse("config must be a JSON object")
-        for k, v in user.items():
-            if isinstance(v, dict) and isinstance(cfg.get(k), dict):
-                cfg[k].update(v)
-            else:
-                cfg[k] = v
     for ov in overrides:
         if "=" not in ov:
             raise ConfigParse(f"override {ov!r} is not KEY=VALUE")
         key, value = ov.split("=", 1)
-        _apply_override(cfg, key, value)
-    unknown = set(cfg) - set(DEFAULT_CONFIG) - COMMAND_KEYS
+        _apply_override(user, key, value)
+    cfg = copy.deepcopy(_merge(DEFAULT_CONFIG, user))
+    if not cfg["optimizer"]["tol_residual"] > 0:
+        raise ConfigParse("optimizer.tol_residual must be positive")
+    unknown = sorted(set(cfg["checks"]) - set(_CHECKS))
     if unknown:
-        raise ConfigParse(f"unknown config keys {sorted(unknown)}")
+        raise ConfigParse(f"unknown checks {unknown}")
     return cfg
 
 
-def _grid_from_cfg(cfg):
-    g = cfg["grid"]
+def _grid_from_spec(g):
     try:
-        return GridSpec(int(g["nx"]), int(g["ny"]), tuple(g["box"]))
-    except (KeyError, ValueError, TypeError) as e:
+        return GridSpec(g["nx"], g["ny"], tuple(g["box"]))
+    except ValueError as e:
         raise ConfigParse(f"bad grid spec: {e}") from e
 
 
-def _weight_from_cfg(cfg):
+def _weight_from_spec(spec):
     try:
-        return make_weight(cfg["weight"])
-    except (KeyError, TypeError, ValueError) as e:
+        return make_weight(spec)
+    except (KeyError, TypeError, ValueError, BadDegree,
+            NonPositiveProfile) as e:
         raise ConfigParse(f"bad weight spec: {e}") from e
 
 
-def _float_from_cfg(node, key, default):
-    try:
-        return float(node.get(key, default))
-    except (TypeError, ValueError) as e:
-        raise ConfigParse(f"bad {key}: {e}") from e
-
-
-def _number_list(vals, name):
-    """``vals`` if a list of non-boolean numbers, else raise ConfigParse."""
-    if not isinstance(vals, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in vals):
-        raise ConfigParse(f"{name} must be a list of numbers, got {vals!r}")
-    return vals
-
-
-def _tol_residual_from_cfg(cfg):
-    """The flow's residual tolerance, the one optimizer setting."""
-    opt = cfg.get("optimizer", {})
-    if not isinstance(opt, dict) or set(opt) - {"tol_residual"}:
-        raise ConfigParse(f"bad optimizer params {opt!r}: "
-                          "only tol_residual is accepted")
-    tol = _float_from_cfg(opt, "tol_residual", TOL_RESIDUAL)
-    if not tol > 0:
-        raise ConfigParse(f"bad tol_residual {tol!r}: must be positive")
-    return tol
-
-
-# each check takes (d, w, g1, u): g1 is the seed {w < 1} and u the
-# torsion solution on d, when the caller has them, else None; each
-# check sets its own tolerance
-_CHECKS = {
-    "basic": lambda d, w, g1, u: check_basic(d),
-    "starshaped": lambda d, w, g1, u: check_starshaped(d),
-    "convex": lambda d, w, g1, u: check_convex(d),
-    "radial_ball": lambda d, w, g1, u: check_radial_ball(d),
-    "symmetry_x": lambda d, w, g1, u: check_symmetry(d, 0),
-    "symmetry_y": lambda d, w, g1, u: check_symmetry(d, 1),
-    "sandwich": lambda d, w, g1, u: check_sandwich(d, w, g1=g1),
-    "scaling": lambda d, w, g1, u: check_scaling_laws(d, w, 0.8, u=u),
-}
-
-
 def _run_checks(names, d, w, g1=None, u=None):
-    reports = []
-    for name in names:
-        if name not in _CHECKS:
-            raise ConfigParse(f"unknown check {name!r}")
-        reports.append(_CHECKS[name](d, w, g1, u))
-    return reports
+    return [_CHECKS[name](d, w, g1, u) for name in names]
 
 
 def cmd_solve(cfg, quiet):
-    w = _weight_from_cfg(cfg)
-    grid = _grid_from_cfg(cfg)
-    tol_residual = _tol_residual_from_cfg(cfg)
+    w = _weight_from_spec(cfg["weight"])
+    grid = _grid_from_spec(cfg["grid"])
+    tol_residual = cfg["optimizer"]["tol_residual"]
     g1 = build_domain(grid, Sublevel(w, 1.0))
     trace = optimize(w, g1, tol_residual)
     out = cfg["out"]
@@ -170,7 +166,7 @@ def cmd_solve(cfg, quiet):
         np.savetxt(fh, u.values, delimiter=",")
     save_boundary(d.samples, os.path.join(out, "boundary.csv"))
     res_sup, res_l2 = residual_fbp(u, w, 1.0)
-    reports = _run_checks(cfg.get("checks", []), d, w, g1=g1, u=u)
+    reports = _run_checks(cfg["checks"], d, w, g1=g1, u=u)
     report = {
         "schema": 1,
         "config": cfg,
@@ -200,12 +196,12 @@ def cmd_oracle(args):
 
 
 def cmd_verify(cfg, domain_path):
-    w = _weight_from_cfg(cfg)
+    w = _weight_from_spec(cfg["weight"])
     try:
         d = load_domain(domain_path)
     except (OSError, ValueError, IndexError) as e:
         raise ConfigParse(f"cannot read domain {domain_path}: {e}") from e
-    reports = _run_checks(cfg.get("checks", ["basic"]), d, w)
+    reports = _run_checks(cfg["checks"], d, w)
     out = {"schema": 1, "checks": [r.to_json() for r in reports]}
     print(_dump_json(out), end="")
     ok = all(r.passed for r in reports)
@@ -215,11 +211,11 @@ def cmd_verify(cfg, domain_path):
 def cmd_derivcheck(cfg):
     """Shape derivative on balls against central differences in the radius."""
     delta, rtol = 1e-2, 2e-2
-    w = _weight_from_cfg(cfg)
-    grid = _grid_from_cfg(cfg)
-    radii = _number_list(cfg.get("radii", [0.8, 1.0, 1.2]), "radii")
-    if not all(R > 0 for R in radii):
-        raise ConfigParse(f"radii must be positive, got {radii!r}")
+    w = _weight_from_spec(cfg["weight"])
+    grid = _grid_from_spec(cfg["grid"])
+    radii = cfg["radii"]
+    if not all(R > delta for R in radii):
+        raise ConfigParse(f"radii must exceed delta = {delta}, got {radii!r}")
     rows = []
     ok = True
     for R in radii:
@@ -246,19 +242,16 @@ def cmd_derivcheck(cfg):
 
 
 def cmd_sweep(cfg, quiet):
-    sw = cfg.get("sweep", {})
-    k = _float_from_cfg(sw, "k", 0.5)
-    alpha = _float_from_cfg(sw, "alpha", 2.0)
-    eps_list = _number_list(sw.get("eps", [0.02, 0.05, 0.1]), "sweep.eps")
-    grid = _grid_from_cfg(cfg)
-    tol_residual = _tol_residual_from_cfg(cfg)
+    k, alpha = cfg["sweep"]["k"], cfg["sweep"]["alpha"]
+    grid = _grid_from_spec(cfg["grid"])
+    tol_residual = cfg["optimizer"]["tol_residual"]
     h = grid.h
     rows = []
     ok = True
-    for eps in eps_list:
+    for eps in cfg["sweep"]["eps"]:
         spec = {"alpha": alpha,
                 "profile": {"type": "fourier", "a": [k, 0.0, k * eps]}}
-        w = make_weight(spec)
+        w = _weight_from_spec(spec)
         init = build_domain(grid, Sublevel(w, 1.0))
         trace = optimize(w, init, tol_residual)
         s = trace.final_domain.samples
@@ -283,7 +276,7 @@ def cmd_sweep(cfg, quiet):
                          f"slope_bracket_theory={theory:.6g} "
                          f"slope_response_theory={response:.6g}")
     text = "\n".join(out_lines) + "\n"
-    out = cfg.get("out")
+    out = cfg["out"]
     if out:
         os.makedirs(out, exist_ok=True)
         _atomic_write(os.path.join(out, "sweep.csv"), text)
@@ -320,8 +313,7 @@ def main(argv=None):
     try:
         if args.command == "oracle":
             return cmd_oracle(args)
-        cfg = load_config(getattr(args, "config", None),
-                          getattr(args, "override", []))
+        cfg = load_config(args.config, args.override)
         if getattr(args, "out", None):
             cfg["out"] = args.out
         if args.command == "solve":

@@ -7,6 +7,7 @@ import numpy as np
 from .errors import BadDegree, BadLevel, NonPositiveProfile
 
 _N_VALIDATE = 4096
+_PROFILE_KEYS = {"radial": {"k"}, "fourier": {"a", "b"}, "pnorm": {"p", "a", "b"}}
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,17 +67,20 @@ def make_weight(spec):
         raise BadDegree(f"alpha must be > 0, got {alpha}")
     prof = spec["profile"]
     kind = prof["type"]
+    if kind not in _PROFILE_KEYS:
+        raise BadDegree(f"unknown profile type {kind!r}")
+    extra = sorted(set(prof) - _PROFILE_KEYS[kind] - {"type"})
+    if extra:
+        raise ValueError(f"{kind} profile takes no keys {extra}")
     if kind == "radial":
         params = {"k": float(prof["k"])}
     elif kind == "fourier":
         a, b = _fourier_coeffs(prof)
         params = {"a": a, "b": b}
-    elif kind == "pnorm":
+    else:
         params = {"p": float(prof["p"]), "a": float(prof["a"]), "b": float(prof["b"])}
         if params["p"] <= 0 or params["a"] <= 0 or params["b"] <= 0:
             raise NonPositiveProfile("pnorm parameters must be positive")
-    else:
-        raise BadDegree(f"unknown profile type {kind!r}")
     w = Weight(alpha=alpha, kind=kind, params=params)
     theta = np.linspace(0.0, 2.0 * np.pi, _N_VALIDATE, endpoint=False)
     pmin = float(np.min(w.profile(theta)))

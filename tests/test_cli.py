@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from torsionshape import Ball, GridSpec, build_domain, oracle
-from torsionshape.cli import main
+from torsionshape.cli import DEFAULT_CONFIG, load_config, main
+from torsionshape.errors import ConfigParse
 from torsionshape.domain import save_domain
 
 FAST_GRID = ["--override", "grid.nx=128", "--override", "grid.ny=128"]
@@ -65,28 +66,63 @@ def test_unknown_check_exits_2(tmp_path):
     rc = main(["--quiet", "solve", "--out", str(tmp_path / "o"),
                "--override", 'checks=["bogus"]', *FAST_GRID])
     assert rc == 2
+    assert not (tmp_path / "o").exists()   # rejected before the flow runs
 
 
 @pytest.mark.parametrize("override", [
     "optimizer.cfl=1.5", "optimizer.tol_residual=0", "optimizer.max_iters=5",
     'optimizer.multiplier_mode="bogus"', 'weight.alpha="abc"',
     'init_scale="x"', "weight.alpha.k=1", 'chekcs=["convex"]',
-    'optimzer={"tol_residual":0.01}'])
+    'optimzer={"tol_residual":0.01}', "weight.alpha=-1",
+    'weight.profile={"type":"bogus"}',
+    'weight.profile={"type":"radial","k":-1}',
+    'weight.profile={"type":"radial","k":0.5,"p":4}', "grid.nxx=64",
+    "checks=[]", "grid.nx=32.5"])
 def test_bad_config_value_exits_2(tmp_path, capsys, override):
+    # the case comes last, so the 32² grid cannot overwrite it
     rc = main(["--quiet", "solve", "--out", str(tmp_path / "o"),
-               "--override", override,
-               "--override", "grid.nx=32", "--override", "grid.ny=32"])
+               "--override", "grid.nx=32", "--override", "grid.ny=32",
+               "--override", override])
     assert rc == 2
     assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
-@pytest.mark.parametrize("eps", ['"x"', "0.1", '[0.05, "x"]'])
+@pytest.mark.parametrize("eps", ['"x"', "0.1", '[0.05, "x"]', "[]"])
 def test_sweep_non_numeric_eps_exits_2(tmp_path, capsys, eps):
     rc = main(["--quiet", "sweep", "--out", str(tmp_path / "o"),
                "--override", f"sweep.eps={eps}",
                "--override", "grid.nx=32", "--override", "grid.ny=32"])
     assert rc == 2
     assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
+@pytest.mark.parametrize("override", ["sweep.esp=[0.1]", "sweep.k=-1"])
+def test_sweep_bad_config_exits_2(tmp_path, capsys, override):
+    rc = main(["--quiet", "sweep", "--out", str(tmp_path / "o"),
+               "--override", override,
+               "--override", "grid.nx=32", "--override", "grid.ny=32"])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
+def test_load_config_is_a_copy_of_the_table(tmp_path):
+    before = json.dumps(DEFAULT_CONFIG, sort_keys=True)
+    cfg = load_config(None, [])
+    assert cfg == DEFAULT_CONFIG
+    cfg["grid"]["box"][0] = 9.0
+    cfg["weight"]["profile"]["k"] = 9.0
+    load_config(None, ["grid.nx=64"])["sweep"]["eps"].append(9.0)
+    assert json.dumps(DEFAULT_CONFIG, sort_keys=True) == before
+    # file first, then overrides; weight.profile is taken whole
+    path = tmp_path / "cfg.json"
+    path.write_text('{"grid": {"nx": 64}, "weight": {"profile": '
+                    '{"type": "pnorm", "p": 4, "a": 1, "b": 1}}}')
+    cfg = load_config(str(path), ["grid.nx=32"])
+    assert cfg["grid"] == {**DEFAULT_CONFIG["grid"], "nx": 32}
+    assert cfg["weight"] == {"alpha": 2.0, "profile": {
+        "type": "pnorm", "p": 4, "a": 1, "b": 1}}
+    with pytest.raises(ConfigParse, match=r"grid\.nxx"):
+        load_config(None, ["grid.nxx=64"])
 
 
 def test_alpha_one_exits_3(tmp_path):
@@ -141,7 +177,8 @@ def test_derivcheck_subcommand(capsys):
     assert out["rows"][0]["errJ"] <= 0.02
 
 
-@pytest.mark.parametrize("radii", ['"x"', "[-1]", "[true]"])
+@pytest.mark.parametrize("radii", ['"x"', "[-1]", "[true]", "[]", "[0.005]",
+                                   "[0.01]"])
 def test_derivcheck_bad_radii_exits_2(capsys, radii):
     rc = main(["--quiet", "derivcheck", "--override", f"radii={radii}",
                "--override", "grid.nx=32", "--override", "grid.ny=32"])

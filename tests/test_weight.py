@@ -47,6 +47,15 @@ def test_unknown_profile_type_rejected():
         make_weight({"alpha": 2.0, "profile": {"type": "spline"}})
 
 
+@pytest.mark.parametrize("profile", [
+    {"type": "radial", "k": 0.5, "p": 4.0},
+    {"type": "fourier", "a": [1.0], "k": 0.5},
+    {"type": "pnorm", "p": 4.0, "a": 1.0, "b": 1.0, "c": 1.0}])
+def test_profile_extra_keys_rejected(profile):
+    with pytest.raises(ValueError, match="takes no keys"):
+        make_weight({"alpha": 2.0, "profile": profile})
+
+
 def test_pnorm_parameters_validated():
     with pytest.raises(NonPositiveProfile):
         make_weight({"alpha": 2.0,
