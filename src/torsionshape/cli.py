@@ -139,8 +139,9 @@ def _grid_from_spec(g):
 def _weight_from_spec(spec):
     try:
         return make_weight(spec)
-    except (KeyError, TypeError, ValueError, BadDegree,
-            NonPositiveProfile) as e:
+    except KeyError as e:
+        raise ConfigParse(f"weight.profile lacks key {e}; it is taken whole") from e
+    except (TypeError, ValueError, BadDegree, NonPositiveProfile) as e:
         raise ConfigParse(f"bad weight spec: {e}") from e
 
 
@@ -250,7 +251,8 @@ def cmd_sweep(cfg, quiet):
     ok = True
     for eps in cfg["sweep"]["eps"]:
         spec = {"alpha": alpha,
-                "profile": {"type": "fourier", "a": [k, 0.0, k * eps]}}
+                "profile": {"type": "fourier", "a": [k, 0.0, k * eps],
+                            "b": []}}
         w = _weight_from_spec(spec)
         init = build_domain(grid, Sublevel(w, 1.0))
         trace = optimize(w, init, tol_residual)

@@ -46,15 +46,6 @@ class Weight:
         return eval_weight(self, x)
 
 
-def _fourier_coeffs(spec):
-    a = np.atleast_1d(np.asarray(spec.get("a", [1.0]), dtype=float))
-    b_in = np.atleast_1d(np.asarray(spec.get("b", []), dtype=float))
-    b = np.zeros(max(len(b_in) + 1, 1))
-    if len(b_in):
-        b[1:len(b_in) + 1] = b_in  # b[m] multiplies sin(m*theta)
-    return a, b
-
-
 def make_weight(spec):
     """Build a validated Weight from a JSON-style description.
 
@@ -72,11 +63,15 @@ def make_weight(spec):
     extra = sorted(set(prof) - _PROFILE_KEYS[kind] - {"type"})
     if extra:
         raise ValueError(f"{kind} profile takes no keys {extra}")
+    missing = sorted(_PROFILE_KEYS[kind] - set(prof))
+    if missing:
+        raise ValueError(f"{kind} profile needs keys {missing}")
     if kind == "radial":
         params = {"k": float(prof["k"])}
     elif kind == "fourier":
-        a, b = _fourier_coeffs(prof)
-        params = {"a": a, "b": b}
+        a = np.atleast_1d(np.asarray(prof["a"], dtype=float))
+        b = np.atleast_1d(np.asarray(prof["b"], dtype=float))
+        params = {"a": a, "b": np.concatenate(([0.0], b))}  # b[m]: sin(m theta)
     else:
         params = {"p": float(prof["p"]), "a": float(prof["a"]), "b": float(prof["b"])}
         if params["p"] <= 0 or params["a"] <= 0 or params["b"] <= 0:

@@ -77,14 +77,19 @@ def test_unknown_check_exits_2(tmp_path):
     'weight.profile={"type":"bogus"}',
     'weight.profile={"type":"radial","k":-1}',
     'weight.profile={"type":"radial","k":0.5,"p":4}', "grid.nxx=64",
-    "checks=[]", "grid.nx=32.5"])
+    "checks=[]", "grid.nx=32.5", "weight.profile.k=0.7",
+    'weight.profile={"type":"fourier"}'])
 def test_bad_config_value_exits_2(tmp_path, capsys, override):
     # the case comes last, so the 32² grid cannot overwrite it
     rc = main(["--quiet", "solve", "--out", str(tmp_path / "o"),
                "--override", "grid.nx=32", "--override", "grid.ny=32",
                "--override", override])
     assert rc == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    expected = {"weight.profile.k=0.7": "lacks key 'type'; it is taken whole",
+                'weight.profile={"type":"fourier"}': "needs keys ['a', 'b']"}
+    assert expected.get(override, "") in err["message"]
 
 
 @pytest.mark.parametrize("eps", ['"x"', "0.1", '[0.05, "x"]', "[]"])

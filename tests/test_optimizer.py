@@ -149,7 +149,8 @@ def test_optimize_unique_limit_from_two_inits(grid128):
 
 
 def test_optimize_builds_each_domain_geometry_once(grid64, monkeypatch):
-    calls = {"cell_geometry": 0, "boundary_samples": 0, "advect_step": 0}
+    calls = {"cell_geometry": 0, "boundary_samples": 0, "advect_step": 0,
+             "scale_domain": 0}
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -163,14 +164,28 @@ def test_optimize_builds_each_domain_geometry_once(grid64, monkeypatch):
     counted(kernels, "cell_geometry")
     counted(domain, "boundary_samples")
     counted(kernels, "advect_step")
+    counted(optimizer, "scale_domain")
     trace = optimize(radial_weight(0.5, 2.0),
                      build_domain(grid64, Ellipse(1.3, 0.7)))
     trials = calls["advect_step"]
     assert trials >= 1 and len(trace.records) >= 2
-    # per trial step: the advected domain (projection) and its rescale
-    # (objective); plus the same two for the initial domain
-    assert calls["cell_geometry"] <= 2 * trials + 2
+    # one per trial step (the advected domain, solved and scored), plus the
+    # input (its phi for the projection) and the projected domain
+    assert calls["cell_geometry"] <= trials + 2
     assert calls["boundary_samples"] <= trials + 1
+    # one homothety at each end of the flow: onto phi = 1 and the final
+    # multiplier rescale; no trial step rescales
+    assert calls["scale_domain"] == 2
+
+
+def test_optimize_phi_drifts_little(grid128):
+    # the flow projects onto phi = 1 only once; the fitted multiplier holds
+    # phi to first order on a moving flow
+    trace = optimize(radial_weight(0.5, 2.0),
+                     build_domain(grid128, Ellipse(1.3, 0.7)))
+    assert trace.reason == "converged" and len(trace.records) >= 10
+    assert trace.records[0]["phi"] == pytest.approx(1.0, abs=1e-3)
+    assert max(abs(rec["phi"] - 1.0) for rec in trace.records) <= 0.02
 
 
 def test_optimize_redistances_on_schedule(grid64, monkeypatch):

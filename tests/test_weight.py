@@ -1,5 +1,7 @@
 """Weight construction, evaluation, sublevel radii and quasi-convexity."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,16 @@ def test_unknown_profile_type_rejected():
     {"type": "pnorm", "p": 4.0, "a": 1.0, "b": 1.0, "c": 1.0}])
 def test_profile_extra_keys_rejected(profile):
     with pytest.raises(ValueError, match="takes no keys"):
+        make_weight({"alpha": 2.0, "profile": profile})
+
+
+@pytest.mark.parametrize("profile, missing", [
+    ({"type": "radial"}, "['k']"),
+    ({"type": "fourier", "a": [1.0]}, "['b']"),
+    ({"type": "pnorm", "p": 4.0}, "['a', 'b']")],
+    ids=["radial", "fourier", "pnorm"])
+def test_profile_missing_keys_rejected(profile, missing):
+    with pytest.raises(ValueError, match=re.escape(f"needs keys {missing}")):
         make_weight({"alpha": 2.0, "profile": profile})
 
 
