@@ -271,11 +271,7 @@ def reinitialize(d):
     h = grid.h
     ls = d.ls
     inside = ls < 0.0
-    flip = np.zeros_like(inside)
-    flip[:-1, :] |= inside[:-1, :] != inside[1:, :]
-    flip[1:, :] |= inside[:-1, :] != inside[1:, :]
-    flip[:, :-1] |= inside[:, :-1] != inside[:, 1:]
-    flip[:, 1:] |= inside[:, :-1] != inside[:, 1:]
+    flip = kernels.neighbour_differs(inside)
     if not np.any(flip):
         raise DegenerateBoundary("no zero crossing in level-set field")
     gx, gy = np.gradient(ls, h)

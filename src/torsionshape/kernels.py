@@ -39,6 +39,23 @@ def _one_sided_diffs(ls, h):
     return out
 
 
+def neighbour_differs(a):
+    """Nodes with a 4-neighbour that holds a different value.
+
+    On ``ls`` these are the nodes where some one-sided difference is nonzero,
+    the only ones ``advect_step`` can move: elsewhere it returns ``ls`` for
+    any finite speed.
+    """
+    out = np.zeros(a.shape, dtype=bool)
+    ne = a[:-1, :] != a[1:, :]
+    out[:-1, :] |= ne
+    out[1:, :] |= ne
+    ne = a[:, :-1] != a[:, 1:]
+    out[:, :-1] |= ne
+    out[:, 1:] |= ne
+    return out
+
+
 def advect_step(ls, vn, h, dt):
     dmx, dpx, dmy, dpy = _one_sided_diffs(ls, h)
     gp = np.sqrt(np.maximum(dmx, 0.0) ** 2 + np.minimum(dpx, 0.0) ** 2
@@ -80,11 +97,22 @@ def eikonal_solve(d, frozen, h, band):
     ``b <= C - h`` and at least ``C`` otherwise, so
     ``min(f(a, b), C) = min(f(min(a, C), min(b, C)), C)``.  Seeded at the
     cap, the rounds need no sentinel for unreached nodes.
+
+    A round lowers a node only if a 4-neighbour is already below ``C``, so
+    the rounds run on the box of the nodes below ``C``, grown by the number
+    of rounds and clipped to the grid: no node outside it leaves the cap,
+    which is the value the round's padding supplies at the box's edge.
     """
     cap = band * h
     np.minimum(d, cap, out=d)
-    for _ in range(2 * band + 2):
-        _eikonal_round(d, frozen, h, cap)
+    rounds = 2 * band + 2
+    i, j = np.nonzero(d < cap)
+    if len(i) == 0:
+        return d
+    box = (slice(max(i.min() - rounds, 0), i.max() + rounds + 1),
+           slice(max(j.min() - rounds, 0), j.max() + rounds + 1))
+    for _ in range(rounds):
+        _eikonal_round(d[box], frozen[box], h, cap)
     return d
 
 

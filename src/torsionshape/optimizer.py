@@ -78,12 +78,17 @@ def fbp_rescale(d, mu, alpha):
     return scale_domain(d, t), t
 
 
-def _extend_velocity(grid, samples, vn_samples):
-    """Constant extension of the sample speeds by closest boundary point."""
-    tree = cKDTree(samples.points)
-    nodes = grid.nodes().reshape(-1, 2)
-    _, idx = tree.query(nodes)
-    return vn_samples[idx].reshape(grid.shape)
+def _extend_velocity(grid, samples, vn_samples, ls):
+    """Constant extension of the sample speeds by closest boundary point.
+
+    Only the nodes that an upwind step of ``ls`` can move get a speed; the
+    rest, where ``ls`` equals all its neighbours, get 0 and keep their value.
+    """
+    vn = np.zeros(grid.shape)
+    moves = kernels.neighbour_differs(ls)
+    _, idx = cKDTree(samples.points).query(grid.nodes()[moves])
+    vn[moves] = vn_samples[idx]
+    return vn
 
 
 def optimize(w, init, tol_residual=TOL_RESIDUAL):
@@ -145,7 +150,7 @@ def optimize(w, init, tol_residual=TOL_RESIDUAL):
             break
         obj_prev = obj
 
-        vn_ext = _extend_velocity(grid, s, vn)
+        vn_ext = _extend_velocity(grid, s, vn, d.ls)
         # every iteration that gets here accepts a step or ends the flow, so
         # iteration it tries the (it + 1)-th step: redistance every
         # REINIT_EVERY accepted steps

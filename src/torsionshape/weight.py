@@ -70,6 +70,8 @@ def make_weight(spec):
         params = {"k": float(prof["k"])}
     elif kind == "fourier":
         a = np.atleast_1d(np.asarray(prof["a"], dtype=float))
+        if a.size == 0:
+            raise ValueError("fourier profile needs a constant term a[0]")
         b = np.atleast_1d(np.asarray(prof["b"], dtype=float))
         params = {"a": a, "b": np.concatenate(([0.0], b))}  # b[m]: sin(m theta)
     else:

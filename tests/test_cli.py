@@ -78,7 +78,8 @@ def test_unknown_check_exits_2(tmp_path):
     'weight.profile={"type":"radial","k":-1}',
     'weight.profile={"type":"radial","k":0.5,"p":4}', "grid.nxx=64",
     "checks=[]", "grid.nx=32.5", "weight.profile.k=0.7",
-    'weight.profile={"type":"fourier"}'])
+    'weight.profile={"type":"fourier"}',
+    'weight.profile={"type":"fourier","a":[],"b":[]}'])
 def test_bad_config_value_exits_2(tmp_path, capsys, override):
     # the case comes last, so the 32² grid cannot overwrite it
     rc = main(["--quiet", "solve", "--out", str(tmp_path / "o"),
@@ -88,7 +89,9 @@ def test_bad_config_value_exits_2(tmp_path, capsys, override):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config"
     expected = {"weight.profile.k=0.7": "lacks key 'type'; it is taken whole",
-                'weight.profile={"type":"fourier"}': "needs keys ['a', 'b']"}
+                'weight.profile={"type":"fourier"}': "needs keys ['a', 'b']",
+                'weight.profile={"type":"fourier","a":[],"b":[]}':
+                    "bad weight spec: fourier profile needs a constant term a[0]"}
     assert expected.get(override, "") in err["message"]
 
 

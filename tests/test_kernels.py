@@ -82,18 +82,45 @@ def test_advect_step_moves_interface_outward(ball_ls):
 
 def test_eikonal_solve_reproduces_ball_distance(ball_ls):
     ls, h = ball_ls
-    inside = ls < 0.0
-    flip = np.zeros_like(inside)
-    flip[:-1, :] |= inside[:-1, :] != inside[1:, :]
-    flip[1:, :] |= inside[:-1, :] != inside[1:, :]
-    flip[:, :-1] |= inside[:, :-1] != inside[:, 1:]
-    flip[:, 1:] |= inside[:, :-1] != inside[:, 1:]
+    flip = kernels.neighbour_differs(ls < 0.0)
     dist = np.full(ls.shape, np.inf)
     dist[flip] = np.abs(ls[flip])
     n = ls.shape[0] - 1
     kernels.eikonal_solve(dist, flip, h, band=2 * n)  # the tube covers the grid
     # seeded from an exact distance field, the solve must reproduce it
     assert np.max(np.abs(dist - np.abs(ls))) < 3 * h
+
+
+def _eikonal_whole_grid(d, frozen, h, band):
+    """Reference: clamp to the cap, then every round over the whole grid."""
+    cap = band * h
+    np.minimum(d, cap, out=d)
+    for _ in range(2 * band + 2):
+        kernels._eikonal_round(d, frozen, h, cap)
+    return d
+
+
+@pytest.mark.parametrize("centre, radius, band", [
+    ((0.0, 0.0), 0.6, 8),    # the grown box lies inside the grid
+    ((-1.5, -1.5), 0.3, 8),  # the grown box is clipped by two grid edges
+    ((0.0, 0.0), 1.1, 192),  # band = 2n: the tube covers the grid
+])
+def test_eikonal_solve_on_the_box_matches_whole_grid(centre, radius, band):
+    xs = np.linspace(-2.0, 2.0, 97)
+    h = xs[1] - xs[0]
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    ls = np.hypot(X - centre[0], Y - centre[1]) - radius
+    frozen = kernels.neighbour_differs(ls < 0.0)
+    dist = np.full(ls.shape, np.inf)
+    dist[frozen] = np.abs(ls[frozen])
+    ref = _eikonal_whole_grid(dist.copy(), frozen, h, band)
+    assert np.array_equal(kernels.eikonal_solve(dist, frozen, h, band), ref)
+
+
+def test_eikonal_solve_without_a_node_below_the_cap():
+    d = np.full((9, 9), np.inf)
+    kernels.eikonal_solve(d, np.zeros(d.shape, dtype=bool), 0.5, band=2)
+    assert np.all(d == 1.0)
 
 
 @pytest.mark.parametrize("n", [128, 384])

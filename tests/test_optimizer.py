@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from torsionshape import (Ball, Ellipse, Sublevel, build_domain, energy_J,
                           estimate_multiplier, fbp_rescale, hausdorff_distance,
@@ -220,3 +221,36 @@ def test_optimize_redistances_on_schedule(grid64, monkeypatch):
     assert it + 1 > REINIT_EVERY
     assert [i for i, redistanced in trials if redistanced] == [
         i for i, _ in trials if (i + 1) % REINIT_EVERY == 0]
+
+
+def _extend_whole_grid(grid, samples, vn_samples, ls):
+    """Reference extension: every node takes its closest sample's speed."""
+    _, idx = cKDTree(samples.points).query(grid.nodes().reshape(-1, 2))
+    return vn_samples[idx].reshape(grid.shape)
+
+
+def test_extension_on_upwind_support_keeps_advection(grid64):
+    # the homothety's bilinear resampling leaves ulp-level steps on the
+    # clamped plateau; the support must include them, for those nodes move
+    w = radial_weight(0.5, 2.0)
+    d, _ = rescale_to_constraint(build_domain(grid64, Ellipse(1.3, 0.7)), w)
+    plateau = np.abs(d.ls) > (1.0 - 1e-12) * np.max(np.abs(d.ls))
+    assert np.any(kernels.neighbour_differs(d.ls) & plateau)
+    s = d.samples
+    vn = np.random.default_rng(0).normal(size=len(s.ds))
+    h = grid64.h
+    dt = optimizer.CFL * h / np.max(np.abs(vn))
+    ref = kernels.advect_step(d.ls, _extend_whole_grid(grid64, s, vn, d.ls), h, dt)
+    out = kernels.advect_step(d.ls, optimizer._extend_velocity(grid64, s, vn, d.ls),
+                              h, dt)
+    assert np.array_equal(out, ref)
+
+
+def test_optimize_same_with_whole_grid_extension(grid64, monkeypatch):
+    w = radial_weight(0.5, 2.0)
+    init = build_domain(grid64, Ellipse(1.3, 0.7))
+    trace = optimize(w, init)
+    monkeypatch.setattr(optimizer, "_extend_velocity", _extend_whole_grid)
+    ref = optimize(w, init)
+    assert trace.records == ref.records and trace.reason == ref.reason
+    assert np.array_equal(trace.final_domain.ls, ref.final_domain.ls)
