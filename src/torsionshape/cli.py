@@ -200,7 +200,7 @@ def cmd_verify(cfg, domain_path):
     w = _weight_from_spec(cfg["weight"])
     try:
         d = load_domain(domain_path)
-    except (OSError, ValueError, IndexError) as e:
+    except (OSError, ValueError, IndexError, TorsionShapeError) as e:
         raise ConfigParse(f"cannot read domain {domain_path}: {e}") from e
     reports = _run_checks(cfg["checks"], d, w)
     out = {"schema": 1, "checks": [r.to_json() for r in reports]}

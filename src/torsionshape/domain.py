@@ -10,7 +10,7 @@ from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from . import kernels
-from .errors import (DegenerateBoundary, EmptyDomain, GridMismatch, OutOfBox)
+from .errors import EmptyDomain, GridMismatch, OutOfBox
 from .weight import sublevel_radius
 
 MARGIN_CELLS = 4
@@ -65,6 +65,9 @@ class GridSpec:
 class Domain:
     """Bounded open set {ls < 0}; ls is nodal, negative inside.
 
+    Every Domain is valid: ``ls`` has the grid's shape, at least one node
+    inside and ``ls > 0`` on the ``MARGIN_CELLS`` frame of the box, so every
+    interior node has four grid neighbours and the front crosses some cell.
     ``ls`` is read-only, so the geometry cached from it never goes stale.
     """
 
@@ -73,7 +76,16 @@ class Domain:
     is_signed_distance: bool = False
 
     def __post_init__(self):
-        self.ls.setflags(write=False)
+        ls, m = self.ls, MARGIN_CELLS
+        if ls.shape != self.grid.shape:
+            raise GridMismatch(f"level-set shape {ls.shape} does not match "
+                               f"grid {self.grid.shape}")
+        if np.min(ls) >= 0.0:
+            raise EmptyDomain("level set has no interior nodes")
+        if min(np.min(ls[:m]), np.min(ls[-m:]), np.min(ls[:, :m]),
+               np.min(ls[:, -m:])) <= 0.0:
+            raise OutOfBox("zero level set violates the bounding-box margin")
+        ls.setflags(write=False)
 
     @cached_property
     def quadrature(self):
@@ -138,25 +150,13 @@ class Field:
     values: np.ndarray
 
 
-def _validate(grid, ls):
-    if not np.any(ls < 0.0):
-        raise EmptyDomain("level set has no interior nodes")
-    m = MARGIN_CELLS
-    frame = np.ones(grid.shape, dtype=bool)
-    frame[m:-m, m:-m] = False
-    if np.min(ls[frame]) <= 0.0:
-        raise OutOfBox("zero level set violates the bounding-box margin")
-
-
 def build_domain(grid, seed):
     """Create a Domain from an analytic seed or an explicit nodal field."""
     pts = grid.nodes()
     if isinstance(seed, Ball):
         c = np.asarray(seed.center)
         ls = np.hypot(pts[..., 0] - c[0], pts[..., 1] - c[1]) - seed.radius
-        d = Domain(grid, ls, is_signed_distance=True)
-        _validate(grid, ls)
-        return d
+        return Domain(grid, ls, is_signed_distance=True)
     if isinstance(seed, Ellipse):
         c = np.asarray(seed.center)
         ls = np.hypot((pts[..., 0] - c[0]) / seed.a,
@@ -168,11 +168,8 @@ def build_domain(grid, seed):
         ls = r - rb
     elif isinstance(seed, Field):
         ls = np.array(seed.values, dtype=float)
-        if ls.shape != grid.shape:
-            raise GridMismatch("explicit field shape does not match grid")
     else:
         raise TypeError(f"unknown seed {seed!r}")
-    _validate(grid, ls)
     return reinitialize(Domain(grid, ls))
 
 
@@ -219,8 +216,6 @@ def boundary_samples(d):
     # walking each cell CCW, an exit crossing (inside -> outside) is joined
     # to the next crossing of the cell, the entry that closes the chord
     c, k0 = np.nonzero(cross & (v < 0.0))
-    if len(c) == 0:
-        raise DegenerateBoundary("no zero crossing in level-set field")
     k1 = k0
     for off in (3, 2, 1):
         k = (k0 + off) % 4
@@ -272,8 +267,6 @@ def reinitialize(d):
     ls = d.ls
     inside = ls < 0.0
     flip = kernels.neighbour_differs(inside)
-    if not np.any(flip):
-        raise DegenerateBoundary("no zero crossing in level-set field")
     gx, gy = np.gradient(ls, h)
     gn = np.clip(np.hypot(gx, gy), 0.2, 5.0)
     dist = np.full(grid.shape, np.inf)
@@ -292,7 +285,6 @@ def scale_domain(d, t):
     ls = interp_bilinear(d.ls, grid, pts.reshape(-1, 2)).reshape(grid.shape)
     if d.is_signed_distance:
         ls = t * ls
-    _validate(grid, ls)
     return Domain(grid, ls, is_signed_distance=d.is_signed_distance)
 
 
@@ -325,7 +317,6 @@ def schwarz_symmetrize(d):
     r = np.sqrt(volume(d) / np.pi)
     pts = d.grid.nodes()
     ls = np.hypot(pts[..., 0], pts[..., 1]) - r
-    _validate(d.grid, ls)
     return Domain(d.grid, ls, is_signed_distance=True)
 
 
@@ -369,7 +360,6 @@ def random_starshaped_blob(grid, rng, r0=1.0, amp=0.25, n_modes=4):
     for m in range(1, n_modes + 1):
         rb += coef[0, m - 1] * np.cos(m * theta) + coef[1, m - 1] * np.sin(m * theta)
     ls = r - r0 * np.maximum(rb, 0.2)
-    _validate(grid, ls)
     return reinitialize(Domain(grid, ls))
 
 
@@ -411,10 +401,7 @@ def load_domain(path):
         nx, ny = int(head[0]), int(head[1])
         box = tuple(float(v) for v in head[2:6])
         ls = np.loadtxt(fh, delimiter=",")
-    grid = GridSpec(nx, ny, box)
-    if ls.shape != grid.shape:
-        raise ValueError(f"field shape {ls.shape} does not match header")
-    return Domain(grid, ls)
+    return Domain(GridSpec(nx, ny, box), ls)
 
 
 def save_boundary(samples, path):

@@ -25,10 +25,6 @@ class EmptyDomain(TorsionShapeError):
     """Level-set field has no interior nodes."""
 
 
-class DegenerateBoundary(TorsionShapeError):
-    """No zero crossing found in the level-set field."""
-
-
 class GridMismatch(TorsionShapeError):
     """Operation requires both domains on the same grid."""
 

@@ -8,7 +8,7 @@ from scipy.sparse import csr_matrix
 
 from . import kernels
 from .domain import interp_bilinear
-from .errors import EmptyDomain, SolverDiverged
+from .errors import SolverDiverged
 from .oracle import phi_degree
 from .weight import eval_weight
 
@@ -44,8 +44,6 @@ def _build_system(d):
     ls = d.ls
     h = d.grid.h
     inside = ls < 0.0
-    if not np.any(inside):
-        raise EmptyDomain("no interior nodes")
     inv_h2 = 1.0 / (h * h)
     shape = ls.shape
     diag = np.zeros(shape)
@@ -54,22 +52,21 @@ def _build_system(d):
     cs = np.zeros(shape)
     cn = np.zeros(shape)
 
+    # a Domain's frame is outside, so no interior node reads the padding,
+    # and at a cut ls - nb <= ls < 0
     pad = np.pad(ls, 1, mode="constant", constant_values=np.inf)
     nb_w = pad[:-2, 1:-1]
     nb_e = pad[2:, 1:-1]
     nb_s = pad[1:-1, :-2]
     nb_n = pad[1:-1, 2:]
     for nb, coup in ((nb_w, cw), (nb_e, ce), (nb_s, cs), (nb_n, cn)):
-        nb_in = inside & np.isfinite(nb) & (nb < 0.0)
-        coup[inside & nb_in] = inv_h2
-        diag[inside & nb_in] += inv_h2
+        nb_in = inside & (nb < 0.0)
+        coup[nb_in] = inv_h2
+        diag[nb_in] += inv_h2
         # ghost value by linear extrapolation through the zero crossing
         cut = inside & ~nb_in
-        nbv = np.where(np.isfinite(nb), nb, 1.0)
-        denom = ls - nbv
-        tt = np.where(denom != 0.0, ls / np.where(denom != 0.0, denom, 1.0), 1.0)
-        t = np.clip(tt, THETA_MIN, 1.0)
-        diag[cut] += inv_h2 / t[cut]
+        t = np.clip(ls[cut] / (ls[cut] - nb[cut]), THETA_MIN, 1.0)
+        diag[cut] += inv_h2 / t
     b = np.where(inside, 1.0, 0.0)
     return inside, diag, cw, ce, cs, cn, b
 
@@ -122,7 +119,7 @@ def _pcg(A, x, r, inv_d, tol, maxiter):
     return it
 
 
-def solve_torsion(d, rtol=CG_RTOL):
+def solve_torsion(d):
     """Finite-difference solve with symmetric cut-cell Dirichlet treatment.
 
     Outside neighbours of the five-point stencil are replaced by linear
@@ -138,7 +135,7 @@ def solve_torsion(d, rtol=CG_RTOL):
     b_in = b[inside]
     inv_d = 1.0 / diag[inside]
     bnorm = np.sqrt(np.dot(b_in, b_in))
-    tol = rtol * bnorm
+    tol = CG_RTOL * bnorm
     maxiter = 20 * max(d.grid.nx, d.grid.ny)
     x = np.zeros_like(b)
     x_in = np.zeros_like(b_in)
@@ -154,9 +151,9 @@ def solve_torsion(d, rtol=CG_RTOL):
         if rnorm <= tol or steps == 0:  # met, or budget spent / breakdown
             break
     res = float(rnorm / bnorm)
-    if not res <= rtol:
+    if not res <= CG_RTOL:
         raise SolverDiverged(
-            f"Jacobi-PCG true residual {res:g} > rtol {rtol:g} after {it} "
+            f"Jacobi-PCG true residual {res:g} > rtol {CG_RTOL:g} after {it} "
             f"iterations on {len(b_in)} unknowns, grid "
             f"{d.grid.nx}x{d.grid.ny}")
     return StressField(domain=d, values=np.maximum(x, 0.0), iterations=it,

@@ -5,8 +5,9 @@ from dataclasses import dataclass, asdict
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .domain import (Sublevel, build_domain, connected_components,
-                     hausdorff_distance, interp_bilinear, reflect, scale_domain)
+from .domain import (REINIT_BAND_CELLS, Sublevel, build_domain,
+                     connected_components, hausdorff_distance, interp_bilinear,
+                     reflect, scale_domain)
 from .errors import AlphaOne, GridMismatch
 from .oracle import phi_degree
 from .torsion import energy_J, phi_constraint, solve_torsion
@@ -49,8 +50,9 @@ def check_starshaped(d):
 
     ``measured`` is the deepest re-entry of ``ls`` after a ray's first exit.
     A redistanced ``ls`` is clamped to ``REINIT_BAND_CELLS * h`` (8h), so the
-    measure saturates there and tied rays report the first as witness;
-    pass/fail is unaffected, since the 2h tolerance is below the cap.
+    measure saturates there and tied rays report the first as witness; the
+    witness's ``saturated`` marks a depth that reached the cap, a lower bound.
+    Pass/fail is unaffected, since the 2h tolerance is below the cap.
     """
     h = d.grid.h
     tol = 2 * h
@@ -76,8 +78,10 @@ def check_starshaped(d):
     dip = np.concatenate(dip)
     k = int(np.argmax(dip))
     worst = max(float(dip[k]), 0.0)
+    cap = REINIT_BAND_CELLS * h
     return CheckReport("starshaped", bool(worst <= tol), measured=worst,
-                       tol=tol, witness={"theta": float(angles[k])})
+                       tol=tol, witness={"theta": float(angles[k]),
+                                         "saturated": worst >= cap})
 
 
 def check_convex(d):
@@ -150,18 +154,13 @@ def check_inclusion(inner, outer, slack=None):
     if inner.grid.shape != outer.grid.shape or inner.grid.box != outer.grid.box:
         raise GridMismatch("domains must share a grid")
     slack = 2 * inner.grid.h if slack is None else slack
-    mask = inner.ls < 0.0
-    measured = float(np.max(outer.ls[mask])) if np.any(mask) else 0.0
-    measured = max(measured, 0.0)
-    nodes = inner.grid.nodes()
-    if np.any(mask):
-        idx = np.unravel_index(np.argmax(np.where(mask, outer.ls, -np.inf)),
-                               mask.shape)
-        witness = {"point": nodes[idx].tolist()}
-    else:
-        witness = {}
+    # a Domain has an inside node, so the maximum is over a non-empty set
+    outer_ls = np.where(inner.ls < 0.0, outer.ls, -np.inf)
+    idx = np.unravel_index(np.argmax(outer_ls), outer_ls.shape)
+    measured = max(float(outer_ls[idx]), 0.0)
     return CheckReport("inclusion", bool(measured <= slack), measured=measured,
-                       tol=slack, witness=witness)
+                       tol=slack,
+                       witness={"point": inner.grid.nodes()[idx].tolist()})
 
 
 def check_scaling_laws(d, w, t, u=None):

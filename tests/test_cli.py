@@ -176,6 +176,28 @@ def test_verify_unreadable_domain_exits_2(tmp_path, capsys, header):
     assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
+def _write_domain_file(path, grid, ls):
+    x0, y0, x1, y1 = grid.box
+    with open(path, "w") as fh:
+        fh.write(f"{grid.nx},{grid.ny},{x0},{y0},{x1},{y1}\n")
+        np.savetxt(fh, ls, delimiter=",")
+
+
+@pytest.mark.parametrize("check", ["basic", "starshaped", "convex"])
+@pytest.mark.parametrize("field", ["all-outside", "front-in-margin"])
+def test_verify_invalid_domain_exits_2(tmp_path, capsys, field, check):
+    grid = GridSpec(32, 32, (-2.0, -2.0, 2.0, 2.0))
+    pts = grid.nodes()
+    ls = (np.ones(grid.shape) if field == "all-outside"
+          else np.hypot(pts[..., 0], pts[..., 1]) - 1.95)
+    path = tmp_path / "domain.csv"
+    _write_domain_file(path, grid, ls)
+    rc = main(["--quiet", "verify", "--domain", str(path),
+               "--override", f'checks=["{check}"]'])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
 def test_derivcheck_subcommand(capsys):
     rc = main(["--quiet", "derivcheck",
                "--override", "radii=[1.0]", *FAST_GRID])

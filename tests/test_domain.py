@@ -11,8 +11,7 @@ from torsionshape import domain as domain_mod
 from torsionshape.domain import (Field, connected_components,
                                  random_starshaped_blob, reflect,
                                  save_boundary)
-from torsionshape.errors import (DegenerateBoundary, EmptyDomain, GridMismatch,
-                                 OutOfBox)
+from torsionshape.errors import EmptyDomain, GridMismatch, OutOfBox
 from torsionshape.weight import radial_weight
 
 BOX = (-2.0, -2.0, 2.0, 2.0)
@@ -91,9 +90,25 @@ def test_boundary_normals_radial(grid256):
 
 
 def test_boundary_requires_zero_crossing(grid128):
-    d = Domain(grid128, -np.ones(grid128.shape))  # inside everywhere
-    with pytest.raises(DegenerateBoundary):
-        boundary_samples(d)
+    # inside everywhere: the front cannot cross any cell, and the frame is in
+    with pytest.raises(OutOfBox):
+        Domain(grid128, -np.ones(grid128.shape))
+
+
+def _ring_in_margin(grid):
+    """A ball whose front runs through the frame of the box, inside the box."""
+    pts = grid.nodes()
+    return np.hypot(pts[..., 0], pts[..., 1]) - (2.0 - 2 * grid.h)
+
+
+@pytest.mark.parametrize("make_ls, error", [
+    (lambda g: np.full((g.nx, g.ny), -1.0), GridMismatch),
+    (lambda g: np.ones(g.shape), EmptyDomain),
+    (_ring_in_margin, OutOfBox),
+], ids=["wrong-shape", "no-interior", "front-in-margin"])
+def test_domain_is_valid_by_construction(grid64, make_ls, error):
+    with pytest.raises(error):
+        Domain(grid64, make_ls(grid64), is_signed_distance=True)
 
 
 def test_scale_domain_dilates_ball(grid256):

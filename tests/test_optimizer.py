@@ -11,7 +11,7 @@ from torsionshape import (Ball, Ellipse, Sublevel, build_domain, energy_J,
                           solve_torsion)
 from torsionshape import domain, kernels, optimizer
 from torsionshape.optimizer import REINIT_EVERY
-from torsionshape.errors import AlphaOne, BadMultiplier
+from torsionshape.errors import AlphaOne, BadMultiplier, OutOfBox
 from torsionshape.weight import radial_weight
 
 
@@ -254,3 +254,14 @@ def test_optimize_same_with_whole_grid_extension(grid64, monkeypatch):
     ref = optimize(w, init)
     assert trace.records == ref.records and trace.reason == ref.reason
     assert np.array_equal(trace.final_domain.ls, ref.final_domain.ls)
+
+
+def test_optimize_rejects_a_step_into_the_margin(grid64, monkeypatch):
+    # every trial step lands on a ball whose front lies in the box's frame
+    pts = grid64.nodes()
+    into_margin = np.hypot(pts[..., 0], pts[..., 1]) - (2.0 - 2 * grid64.h)
+    monkeypatch.setattr(kernels, "advect_step",
+                        lambda ls, vn, h, dt: into_margin.copy())
+    init = build_domain(grid64, Ellipse(1.3, 0.7))
+    with pytest.raises(OutOfBox):
+        optimize(radial_weight(0.5, 2.0), init)

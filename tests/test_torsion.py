@@ -78,10 +78,11 @@ def test_solve_rejects_empty_domain(grid128):
         solve_torsion(Domain(grid128, np.ones(grid128.shape)))
 
 
-def test_solver_diverged_names_its_context():
+def test_solver_diverged_names_its_context(monkeypatch):
     d = build_domain(GridSpec(32, 32, BOX), Ball(radius=1.0))
+    monkeypatch.setattr(torsion, "CG_RTOL", 0.0)
     with pytest.raises(SolverDiverged) as exc:
-        solve_torsion(d, rtol=0.0)
+        solve_torsion(d)
     msg = str(exc.value)
     n = int(np.count_nonzero(d.ls < 0.0))
     m = re.search(r"true residual (\S+) > rtol 0 after (\d+) iterations "

@@ -65,6 +65,19 @@ def test_starshaped_reentrant_bite_fails(grid128):
     assert rep.measured > rep.tol
 
 
+def test_starshaped_marks_a_depth_at_the_cap(grid128):
+    # past the bite, theta = 0 re-enters the ball for 0.75, 0.375 deep at
+    # its middle: deeper than the 8h = 0.25 that redistancing keeps
+    pts = grid128.nodes()
+    b1 = np.hypot(pts[..., 0], pts[..., 1]) - 1.5
+    b2 = np.hypot(pts[..., 0] - 0.5, pts[..., 1]) - 0.25
+    bitten = check_starshaped(build_domain(grid128, Field(np.maximum(b1, -b2))))
+    assert bitten.measured == 8 * grid128.h
+    assert bitten.witness["saturated"] is True
+    ball = check_starshaped(build_domain(grid128, Ball(radius=1.0)))
+    assert ball.witness["saturated"] is False
+
+
 def test_convex_ellipse_passes(grid128):
     assert check_convex(build_domain(grid128, Ellipse(1.4, 0.7))).passed
 
