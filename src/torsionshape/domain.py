@@ -10,7 +10,7 @@ from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from . import kernels
-from .errors import EmptyDomain, GridMismatch, OutOfBox
+from .errors import EmptyDomain, GridMismatch, NonFinite, OutOfBox
 from .weight import sublevel_radius
 
 MARGIN_CELLS = 4
@@ -65,9 +65,10 @@ class GridSpec:
 class Domain:
     """Bounded open set {ls < 0}; ls is nodal, negative inside.
 
-    Every Domain is valid: ``ls`` has the grid's shape, at least one node
-    inside and ``ls > 0`` on the ``MARGIN_CELLS`` frame of the box, so every
-    interior node has four grid neighbours and the front crosses some cell.
+    Every Domain is valid: ``ls`` has the grid's shape, finite values, at
+    least one node inside and ``ls > 0`` on the ``MARGIN_CELLS`` frame of the
+    box, so every interior node has four grid neighbours and the front
+    crosses some cell.
     ``ls`` is read-only, so the geometry cached from it never goes stale.
     """
 
@@ -80,6 +81,9 @@ class Domain:
         if ls.shape != self.grid.shape:
             raise GridMismatch(f"level-set shape {ls.shape} does not match "
                                f"grid {self.grid.shape}")
+        bad = ls.size - np.count_nonzero(np.isfinite(ls))
+        if bad:
+            raise NonFinite(f"level set holds {bad} non-finite values")
         if np.min(ls) >= 0.0:
             raise EmptyDomain("level set has no interior nodes")
         if min(np.min(ls[:m]), np.min(ls[-m:]), np.min(ls[:, :m]),

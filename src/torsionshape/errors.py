@@ -25,6 +25,10 @@ class EmptyDomain(TorsionShapeError):
     """Level-set field has no interior nodes."""
 
 
+class NonFinite(TorsionShapeError):
+    """Level-set field holds NaN or infinite values."""
+
+
 class GridMismatch(TorsionShapeError):
     """Operation requires both domains on the same grid."""
 

@@ -4,6 +4,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse import csr_matrix
 
 from . import kernels
@@ -14,6 +15,9 @@ from .weight import eval_weight
 
 THETA_MIN = 1e-2     # cut-cell fraction clamp, keeps the system well conditioned
 CG_RTOL = 1e-10
+MG_COARSE = 150      # unknowns at which the V-cycle switches to a dense solve
+MG_OMEGA = 0.7       # damped-Jacobi weight of the smoother
+MG_SWEEPS = 2        # smoothing sweeps before and after each coarse correction
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,13 +96,84 @@ def _interior_operator(inside, diag, cw, ce, cs, cn):
     return csr_matrix((vals[keep], cols[keep], indptr), shape=(n, n))
 
 
-def _pcg(A, x, r, inv_d, tol, maxiter):
-    """Jacobi-preconditioned CG on A x = b from x with residual r = b - A x.
+# the 3x3 fine nodes (2I + di, 2J + dj) of coarse node (I, J) in C order, and
+# their bilinear weights
+_DI = np.repeat([-1, 0, 1], 3)
+_DJ = np.tile([-1, 0, 1], 3)
+_W9 = (1.0 - 0.5 * np.abs(_DI)) * (1.0 - 0.5 * np.abs(_DJ))
+
+
+def _restriction(inside):
+    """Full-weighting restriction R = P^T from the unknowns of ``inside``.
+
+    P is bilinear interpolation from the coarse unknowns, the interior nodes
+    with both indices even (injection).  So P holds an identity block and has
+    full column rank, and R A R^T is positive definite whenever A is.  An
+    outside node contributes zero, the Dirichlet value.  Returns (R as CSR,
+    coarse interior mask).
+    """
+    coarse = inside[::2, ::2]
+    n = int(np.count_nonzero(inside))
+    # the margin shrinks by half on each level, so a coarse node may sit on
+    # the last row; the row of -1 past it, also read by index -1, is outside
+    idx = np.full((inside.shape[0] + 1, inside.shape[1] + 1), -1,
+                  dtype=np.int32)
+    idx[:-1, :-1][inside] = np.arange(n, dtype=np.int32)
+    ci, cj = np.nonzero(coarse)
+    cols = idx[2 * ci[:, None] + _DI, 2 * cj[:, None] + _DJ]
+    keep = cols >= 0
+    indptr = np.zeros(len(ci) + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    vals = np.broadcast_to(_W9, cols.shape)[keep]
+    R = csr_matrix((vals, cols[keep], indptr), shape=(len(ci), n))
+    return R, coarse
+
+
+def _multigrid(A, inside):
+    """Galerkin hierarchy of the SPD operator A on ``inside``, for ``_vcycle``.
+
+    Coarse operators R A R^T (Trottenberg, Oosterlee and Schueller,
+    Multigrid, 2001) down to at most MG_COARSE unknowns, which a dense
+    Cholesky factor solves.  Returns (levels, factor); a level is
+    (A, MG_OMEGA / diag A, R, R^T).
+    """
+    levels = []
+    while A.shape[0] > MG_COARSE:
+        R, inside = _restriction(inside)
+        P = R.T
+        levels.append((A, MG_OMEGA / A.diagonal(), R, P))
+        A = R @ (A @ P)
+    return levels, cho_factor(A.toarray(), check_finite=False)
+
+
+def _vcycle(mg, r, lev=0):
+    """One V-cycle of ``mg`` on A z = r from z = 0: the preconditioned r.
+
+    Each level smooths with MG_SWEEPS damped-Jacobi sweeps before and after
+    its coarse correction.  The same symmetric sweeps on both sides keep the
+    preconditioner symmetric, as CG needs.
+    """
+    levels, factor = mg
+    if lev == len(levels):
+        return cho_solve(factor, r, check_finite=False)
+    A, w_inv_d, R, P = levels[lev]
+    x = w_inv_d * r
+    for _ in range(MG_SWEEPS - 1):
+        x += w_inv_d * (r - A @ x)
+    x += P @ _vcycle(mg, R @ (r - A @ x), lev + 1)
+    for _ in range(MG_SWEEPS):
+        x += w_inv_d * (r - A @ x)
+    return x
+
+
+def _pcg(A, x, r, mg, tol, maxiter):
+    """CG on A x = b from x with residual r = b - A x, preconditioned by one
+    V-cycle of the hierarchy ``mg``.
 
     Updates x in place and stops once the recursive residual has
     ||r|| <= tol, on breakdown, or after maxiter steps; returns the steps.
     """
-    z = r * inv_d
+    z = _vcycle(mg, r)
     p = z.copy()
     rz = np.dot(r, z)
     it = 0
@@ -110,7 +185,7 @@ def _pcg(A, x, r, inv_d, tol, maxiter):
         alpha = rz / denom
         x += alpha * p
         r -= alpha * q
-        np.multiply(r, inv_d, out=z)
+        z = _vcycle(mg, r)
         rz_new = np.dot(r, z)
         p *= rz_new / rz
         p += z
@@ -126,14 +201,15 @@ def solve_torsion(d):
     ghost extrapolation through the interface, which keeps the system
     symmetric positive definite (Gibou, Fedkiw, Cheng and Kang, J. Comput.
     Phys. 176, 2002).  The system is assembled on the interior nodes only
-    and solved by Jacobi-preconditioned CG.  The result is accepted on its
-    true residual, recomputed with the grid stencil; CG restarts from it in
-    the rare case that rounding left it above the recursive one.
+    and solved by CG preconditioned with one multigrid V-cycle, whose
+    iteration count does not grow with the grid.  The result is accepted on
+    its true residual, recomputed with the grid stencil; CG restarts from it
+    in the rare case that rounding left it above the recursive one.
     """
     inside, diag, cw, ce, cs, cn, b = _build_system(d)
     A = _interior_operator(inside, diag, cw, ce, cs, cn)
     b_in = b[inside]
-    inv_d = 1.0 / diag[inside]
+    mg = _multigrid(A, inside)
     bnorm = np.sqrt(np.dot(b_in, b_in))
     tol = CG_RTOL * bnorm
     maxiter = 20 * max(d.grid.nx, d.grid.ny)
@@ -142,7 +218,7 @@ def solve_torsion(d):
     r = b_in.copy()
     it = 0
     while True:
-        steps = _pcg(A, x_in, r, inv_d, tol, maxiter - it)
+        steps = _pcg(A, x_in, r, mg, tol, maxiter - it)
         it += steps
         x[inside] = x_in
         ax = kernels.poisson_matvec(diag, cw, ce, cs, cn, x)
@@ -153,7 +229,7 @@ def solve_torsion(d):
     res = float(rnorm / bnorm)
     if not res <= CG_RTOL:
         raise SolverDiverged(
-            f"Jacobi-PCG true residual {res:g} > rtol {CG_RTOL:g} after {it} "
+            f"MG-PCG true residual {res:g} > rtol {CG_RTOL:g} after {it} "
             f"iterations on {len(b_in)} unknowns, grid "
             f"{d.grid.nx}x{d.grid.ny}")
     return StressField(domain=d, values=np.maximum(x, 0.0), iterations=it,

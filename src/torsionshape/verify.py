@@ -5,9 +5,9 @@ from dataclasses import dataclass, asdict
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .domain import (REINIT_BAND_CELLS, Sublevel, build_domain,
-                     connected_components, hausdorff_distance, interp_bilinear,
-                     reflect, scale_domain)
+from .domain import (Sublevel, build_domain, connected_components,
+                     hausdorff_distance, interp_bilinear, reflect,
+                     scale_domain)
 from .errors import AlphaOne, GridMismatch
 from .oracle import phi_degree
 from .torsion import energy_J, phi_constraint, solve_torsion
@@ -49,10 +49,11 @@ def check_starshaped(d):
     """Along 360 rays from the origin, the set must be left of a single crossing.
 
     ``measured`` is the deepest re-entry of ``ls`` after a ray's first exit.
-    A redistanced ``ls`` is clamped to ``REINIT_BAND_CELLS * h`` (8h), so the
-    measure saturates there and tied rays report the first as witness; the
-    witness's ``saturated`` marks a depth that reached the cap, a lower bound.
-    Pass/fail is unaffected, since the 2h tolerance is below the cap.
+    A redistanced ``ls`` is clamped to ``REINIT_BAND_CELLS * h`` (8h), and a
+    homothety by t scales that cap to 8h*t, so the measure saturates there
+    and tied rays report the first as witness.  The witness's ``saturated``
+    marks a depth that reached the field's own deepest value, ``-min(ls)``:
+    a lower bound.  Pass/fail is unaffected.
     """
     h = d.grid.h
     tol = 2 * h
@@ -78,10 +79,11 @@ def check_starshaped(d):
     dip = np.concatenate(dip)
     k = int(np.argmax(dip))
     worst = max(float(dip[k]), 0.0)
-    cap = REINIT_BAND_CELLS * h
+    # the resampling of a homothety leaves the clamped plateau ulps off flat
+    saturated = worst >= (1.0 - 1e-9) * -float(np.min(d.ls))
     return CheckReport("starshaped", bool(worst <= tol), measured=worst,
                        tol=tol, witness={"theta": float(angles[k]),
-                                         "saturated": worst >= cap})
+                                         "saturated": saturated})
 
 
 def check_convex(d):

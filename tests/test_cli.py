@@ -184,12 +184,19 @@ def _write_domain_file(path, grid, ls):
 
 
 @pytest.mark.parametrize("check", ["basic", "starshaped", "convex"])
-@pytest.mark.parametrize("field", ["all-outside", "front-in-margin"])
+@pytest.mark.parametrize("field", ["all-outside", "front-in-margin", "nan"])
 def test_verify_invalid_domain_exits_2(tmp_path, capsys, field, check):
     grid = GridSpec(32, 32, (-2.0, -2.0, 2.0, 2.0))
     pts = grid.nodes()
-    ls = (np.ones(grid.shape) if field == "all-outside"
-          else np.hypot(pts[..., 0], pts[..., 1]) - 1.95)
+    r = np.hypot(pts[..., 0], pts[..., 1])
+    if field == "all-outside":
+        ls = np.ones(grid.shape)
+    elif field == "front-in-margin":
+        ls = r - 1.95
+    else:
+        # a unit ball with one NaN on the frame and one inside
+        ls = r - 1.0
+        ls[0, 5] = ls[16, 16] = np.nan
     path = tmp_path / "domain.csv"
     _write_domain_file(path, grid, ls)
     rc = main(["--quiet", "verify", "--domain", str(path),

@@ -11,7 +11,7 @@ from torsionshape import domain as domain_mod
 from torsionshape.domain import (Field, connected_components,
                                  random_starshaped_blob, reflect,
                                  save_boundary)
-from torsionshape.errors import EmptyDomain, GridMismatch, OutOfBox
+from torsionshape.errors import EmptyDomain, GridMismatch, NonFinite, OutOfBox
 from torsionshape.weight import radial_weight
 
 BOX = (-2.0, -2.0, 2.0, 2.0)
@@ -101,14 +101,29 @@ def _ring_in_margin(grid):
     return np.hypot(pts[..., 0], pts[..., 1]) - (2.0 - 2 * grid.h)
 
 
+def _ball_with_nan_and_inf(grid):
+    """A unit ball with NaN at its centre and inf on the frame."""
+    pts = grid.nodes()
+    ls = np.hypot(pts[..., 0], pts[..., 1]) - 1.0
+    ls[grid.nx // 2, grid.ny // 2] = np.nan
+    ls[0, 0] = np.inf
+    return ls
+
+
 @pytest.mark.parametrize("make_ls, error", [
     (lambda g: np.full((g.nx, g.ny), -1.0), GridMismatch),
     (lambda g: np.ones(g.shape), EmptyDomain),
     (_ring_in_margin, OutOfBox),
-], ids=["wrong-shape", "no-interior", "front-in-margin"])
+    (_ball_with_nan_and_inf, NonFinite),
+], ids=["wrong-shape", "no-interior", "front-in-margin", "non-finite"])
 def test_domain_is_valid_by_construction(grid64, make_ls, error):
     with pytest.raises(error):
         Domain(grid64, make_ls(grid64), is_signed_distance=True)
+
+
+def test_non_finite_level_set_names_its_count(grid64):
+    with pytest.raises(NonFinite, match="holds 2 non-finite values"):
+        Domain(grid64, _ball_with_nan_and_inf(grid64))
 
 
 def test_scale_domain_dilates_ball(grid256):

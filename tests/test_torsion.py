@@ -10,11 +10,15 @@ from torsionshape import (Ball, Domain, Ellipse, GridSpec, boundary_samples,
                           phi_constraint, residual_fbp, scale_domain,
                           solve_torsion, weighted_perimeter)
 from torsionshape import kernels, torsion
-from torsionshape.domain import cell_quadrature, interp_bilinear
+from torsionshape.domain import (cell_quadrature, interp_bilinear,
+                                 random_starshaped_blob, schwarz_symmetrize,
+                                 steiner_symmetrize)
 from torsionshape.errors import EmptyDomain, SolverDiverged
-from torsionshape.torsion import (CG_RTOL, _build_system, _interior_operator,
+from torsionshape.torsion import (CG_RTOL, MG_COARSE, _build_system,
+                                  _interior_operator, _multigrid,
                                   boundary_gradient)
 from torsionshape.weight import radial_weight
+from scipy.sparse.linalg import spsolve
 from scipy.spatial import cKDTree
 
 BOX = (-2.0, -2.0, 2.0, 2.0)
@@ -123,14 +127,77 @@ def test_solve_restarts_from_true_residual(monkeypatch):
     real = torsion._pcg
     tols = []
 
-    def stops_early(A, x, r, inv_d, tol, maxiter):
+    def stops_early(A, x, r, mg, tol, maxiter):
         tols.append(tol)
-        return real(A, x, r, inv_d, tol * (1e4 if len(tols) == 1 else 1.0),
+        return real(A, x, r, mg, tol * (1e4 if len(tols) == 1 else 1.0),
                     maxiter)
 
     monkeypatch.setattr(torsion, "_pcg", stops_early)
     u = solve_torsion(build_domain(GridSpec(64, 64, BOX), Ellipse(1.3, 0.7)))
     assert len(tols) == 2
+    assert u.residual <= CG_RTOL
+
+
+def _square_to_the_margin(grid):
+    """A square whose sides lie half a cell inside the box's 4-cell margin."""
+    pts = grid.nodes()
+    half = 2.0 - 4.5 * grid.h
+    return Domain(grid, np.maximum(np.abs(pts[..., 0]), np.abs(pts[..., 1]))
+                  - half)
+
+
+@pytest.mark.parametrize("n, make", [
+    (45, lambda g: build_domain(g, Ellipse(1.3, 0.7))),
+    (64, lambda g: build_domain(g, Ellipse(1.3, 0.7))),
+    (119, _square_to_the_margin),
+], ids=["ellipse-45", "ellipse-64", "square-119"])
+def test_solve_matches_direct_solve(n, make):
+    # 45 cells give an even node count; at 119 the margin has shrunk away on
+    # a deep level, whose stencils then reach past the last row of its grid
+    d = make(GridSpec(n, n, BOX))
+    inside, diag, cw, ce, cs, cn, b = _build_system(d)
+    A = _interior_operator(inside, diag, cw, ce, cs, cn)
+    x = spsolve(A.tocsc(), b[inside])
+    u = solve_torsion(d)
+    assert np.linalg.norm(u.values[inside] - x) <= 1e-9 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("n", [128, 256, 512])
+def test_iterations_do_not_grow_with_the_grid(n):
+    u = solve_torsion(build_domain(GridSpec(n, n, BOX), Ellipse(1.3, 0.7)))
+    assert u.iterations <= 16
+    assert u.residual <= CG_RTOL
+
+
+def _coarse_operators(d):
+    inside, diag, cw, ce, cs, cn, _ = _build_system(d)
+    A = _interior_operator(inside, diag, cw, ce, cs, cn)
+    levels, _ = _multigrid(A, inside)
+    return [R @ (Al @ P) for Al, _, R, P in levels]
+
+
+def test_coarse_operators_are_positive_definite():
+    # the draws of the property suite's symmetrization trials, through its
+    # 17th blob, whose coarse operator is singular when the coarse set is
+    # every node that interpolation touches rather than the injected ones
+    rng = np.random.default_rng(102)
+    grid = GridSpec(64, 64, BOX)
+    for _ in range(17):
+        d = random_starshaped_blob(grid, rng, r0=1.0, amp=0.25)
+        for dom in (d, schwarz_symmetrize(d),
+                    steiner_symmetrize(d, int(rng.integers(2)))):
+            ops = _coarse_operators(dom)
+            assert ops
+            for Ac in ops:
+                assert abs(Ac - Ac.T).max() <= 1e-12 * abs(Ac).max()
+                assert np.linalg.eigvalsh(Ac.toarray())[0] > 0.0
+
+
+def test_small_domain_is_solved_directly():
+    d = build_domain(GridSpec(64, 64, BOX), Ball(radius=0.3))
+    assert np.count_nonzero(d.ls < 0.0) <= MG_COARSE
+    u = solve_torsion(d)
+    assert u.iterations == 1
     assert u.residual <= CG_RTOL
 
 

@@ -71,11 +71,19 @@ def test_starshaped_marks_a_depth_at_the_cap(grid128):
     pts = grid128.nodes()
     b1 = np.hypot(pts[..., 0], pts[..., 1]) - 1.5
     b2 = np.hypot(pts[..., 0] - 0.5, pts[..., 1]) - 0.25
-    bitten = check_starshaped(build_domain(grid128, Field(np.maximum(b1, -b2))))
+    d = build_domain(grid128, Field(np.maximum(b1, -b2)))
+    bitten = check_starshaped(d)
     assert bitten.measured == 8 * grid128.h
     assert bitten.witness["saturated"] is True
+    # a homothety by t scales the cap to 8h*t
+    for t in (0.9, 1.0, 1.1):
+        rep = check_starshaped(scale_domain(d, t))
+        assert rep.measured == pytest.approx(8 * t * grid128.h, rel=1e-12)
+        assert rep.witness["saturated"] is True
+        assert not rep.passed
     ball = check_starshaped(build_domain(grid128, Ball(radius=1.0)))
     assert ball.witness["saturated"] is False
+    assert ball.passed
 
 
 def test_convex_ellipse_passes(grid128):
