@@ -14,7 +14,7 @@ from .domain import (Ball, GridSpec, Sublevel, atomic_open, build_domain,
                      load_domain, save_boundary, save_domain)
 from .errors import (BadDegree, ConfigParse, NonPositiveProfile,
                      TorsionShapeError)
-from .optimizer import TOL_RESIDUAL, optimize, shape_derivative
+from .optimizer import optimize, shape_derivative
 from .torsion import (energy_J, objective_scale_invariant, phi_constraint,
                       residual_fbp, solve_torsion)
 from .verify import (check_basic, check_convex, check_radial_ball,
@@ -32,7 +32,8 @@ DEFAULT_CONFIG = {
     "schema": 1,
     "weight": {"alpha": 2.0, "profile": {"type": "radial", "k": 0.5}},
     "grid": {"nx": 256, "ny": 256, "box": [-2.0, -2.0, 2.0, 2.0]},
-    "optimizer": {"tol_residual": TOL_RESIDUAL},
+    # solve's exit gate on the reported sup residual; the flow has no setting
+    "optimizer": {"tol_residual": 5e-2},
     "checks": ["basic"],
     "radii": [0.8, 1.0, 1.2],                                 # derivcheck
     "sweep": {"k": 0.5, "alpha": 2.0, "eps": [0.02, 0.05, 0.1]},
@@ -154,7 +155,7 @@ def cmd_solve(cfg, quiet):
     grid = _grid_from_spec(cfg["grid"])
     tol_residual = cfg["optimizer"]["tol_residual"]
     g1 = build_domain(grid, Sublevel(w, 1.0))
-    trace = optimize(w, g1, tol_residual)
+    trace = optimize(w, g1)
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     lines = "".join(json.dumps(rec, sort_keys=True) + "\n"
@@ -245,7 +246,6 @@ def cmd_derivcheck(cfg):
 def cmd_sweep(cfg, quiet):
     k, alpha = cfg["sweep"]["k"], cfg["sweep"]["alpha"]
     grid = _grid_from_spec(cfg["grid"])
-    tol_residual = cfg["optimizer"]["tol_residual"]
     h = grid.h
     rows = []
     ok = True
@@ -255,7 +255,7 @@ def cmd_sweep(cfg, quiet):
                             "b": []}}
         w = _weight_from_spec(spec)
         init = build_domain(grid, Sublevel(w, 1.0))
-        trace = optimize(w, init, tol_residual)
+        trace = optimize(w, init)
         s = trace.final_domain.samples
         r = np.hypot(s.points[:, 0], s.points[:, 1])
         r_meas, R_meas = float(np.min(r)), float(np.max(r))

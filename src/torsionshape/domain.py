@@ -192,7 +192,12 @@ def volume(d):
 
 
 def interp_bilinear(field, grid, pts):
-    """Bilinear interpolation of a nodal field at points (..., 2), edge-clamped."""
+    """Bilinear interpolation of a nodal field at points (..., 2), edge-clamped.
+
+    Written as nested linear steps ``a + t (b - a)``, so a cell whose four
+    corners hold one value returns exactly that value: the clamped plateau
+    of a redistanced ``ls`` stays flat under resampling.
+    """
     pts = np.asarray(pts, dtype=float)
     x0, y0, _, _ = grid.box
     h = grid.h
@@ -203,8 +208,9 @@ def interp_bilinear(field, grid, pts):
     tx = fx - i
     ty = fy - j
     f = field
-    return ((1 - tx) * (1 - ty) * f[i, j] + tx * (1 - ty) * f[i + 1, j]
-            + (1 - tx) * ty * f[i, j + 1] + tx * ty * f[i + 1, j + 1])
+    lo = f[i, j] + tx * (f[i + 1, j] - f[i, j])
+    hi = f[i, j + 1] + tx * (f[i + 1, j + 1] - f[i, j + 1])
+    return lo + ty * (hi - lo)
 
 
 def boundary_samples(d):

@@ -6,8 +6,10 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import kernels
-from .domain import Domain, reinitialize, scale_domain
-from .errors import AlphaOne, BadMultiplier, DegenerateWeight
+from .domain import (Domain, Field, GridSpec, build_domain, interp_bilinear,
+                     reinitialize, scale_domain)
+from .errors import (AlphaOne, BadMultiplier, DegenerateWeight, EmptyDomain,
+                     OutOfBox)
 from .oracle import multiplier_rescale, phi_degree
 from .torsion import (energy_J, objective_scale_invariant, phi_constraint,
                       residual_fbp, solve_torsion)
@@ -15,9 +17,12 @@ from .weight import eval_weight
 
 MAX_ITERS = 200
 CFL = 0.45
-TOL_RESIDUAL = 5e-2
+# a level stops once residual_l2 <= C_L2 * h: twice the L2 floor, about
+# 0.12 h, of the boundary gradient on the exact unit ball
+C_L2 = 0.25
 TOL_OBJECTIVE = 1e-6
 REINIT_EVERY = 10
+MIN_LEVEL_CELLS = 64  # the coarsest level keeps at least this many cells
 
 
 @dataclass(eq=False)
@@ -85,35 +90,83 @@ def _extend_velocity(grid, samples, vn_samples, ls):
     rest, where ``ls`` equals all its neighbours, get 0 and keep their value.
     """
     vn = np.zeros(grid.shape)
-    moves = kernels.neighbour_differs(ls)
-    _, idx = cKDTree(samples.points).query(grid.nodes()[moves])
-    vn[moves] = vn_samples[idx]
+    i, j = np.nonzero(kernels.neighbour_differs(ls))
+    _, idx = cKDTree(samples.points).query(
+        np.column_stack([grid.xs[i], grid.ys[j]]))
+    vn[i, j] = vn_samples[idx]
     return vn
 
 
-def optimize(w, init, tol_residual=TOL_RESIDUAL):
-    """Gradient flow with normal speed (1/2)|grad u|^2 + mu g^2.
+def _ladder(init):
+    """The level grids, coarsest first, and the seed on the coarsest.
+
+    Halves the grid while both cell counts stay even and at least
+    MIN_LEVEL_CELLS, and while the injected level set ``ls[::2, ::2]`` is a
+    valid Domain.  The finest level is ``init`` itself.
+    """
+    grids, d = [init.grid], init
+    while True:
+        g = grids[-1]
+        if g.nx % 2 or g.ny % 2 or min(g.nx, g.ny) < 2 * MIN_LEVEL_CELLS:
+            break
+        half = GridSpec(g.nx // 2, g.ny // 2, g.box)
+        try:
+            d = Domain(half, d.ls[::2, ::2])
+        except (OutOfBox, EmptyDomain):
+            break
+        grids.append(half)
+    if d is not init:
+        d = build_domain(d.grid, Field(d.ls))
+    return grids[::-1], d
+
+
+def optimize(w, init):
+    """Gradient flow with normal speed (1/2)|grad u|^2 + mu g^2, coarse to fine.
+
+    Runs the single-level flow on each grid of ``_ladder(init)`` in turn;
+    each finer level starts from the previous level's last iterate,
+    interpolated bilinearly and redistanced (nested iteration).  The final
+    homothety by the finest level's multiplier solves the free-boundary
+    problem.  The records of all levels are concatenated, coarse to fine,
+    and each names its grid's ``nx`` as ``level``; the termination reason
+    is the finest level's.
+    """
+    if w.alpha <= 1:
+        raise AlphaOne("optimization restricted to alpha > 1")
+    grids, d = _ladder(init)
+    records = []
+    for k, grid in enumerate(grids):
+        if k:
+            ls = interp_bilinear(d.ls, d.grid, grid.nodes())
+            d = build_domain(grid, Field(ls))
+        d, mu, reason = _flow(w, d, records)
+    final_d, t = fbp_rescale(d, mu, w.alpha)
+    if not final_d.is_signed_distance:
+        final_d = reinitialize(final_d)
+    return OptimizationTrace(records=records, final_domain=final_d,
+                             final_field=solve_torsion(final_d),
+                             final_rescale=t, reason=reason)
+
+
+def _flow(w, init, records):
+    """The flow on ``init``'s grid; appends its records to ``records``.
 
     Projects the input onto phi = 1 once; each accepted step then advects
     the level set (first-order upwind, CFL limited) and reinitializes every
     REINIT_EVERY iterations, with no projection: the objective
     phi^(-4/(2 alpha + 2)) J is homothety invariant, the fitted multiplier
     holds phi to first order (the records' phi shows the drift), and the
-    final homothety needs only mu.  Terminates when the residual of
-    |grad u| = sqrt(-2 mu) g drops below tol_residual (by homogeneity, the
+    final homothety needs only mu.  Terminates when the L2 residual of
+    |grad u| = sqrt(-2 mu) g drops to C_L2 * h (by homogeneity, the
     free-boundary residual after that homothety), when the objective
-    stalls, or at MAX_ITERS.
+    stalls, or at MAX_ITERS.  Returns the last iterate, its multiplier and
+    the termination reason.
     """
-    if not tol_residual > 0:
-        raise ValueError("tol_residual must be positive")
-    if w.alpha <= 1:
-        raise AlphaOne("optimization restricted to alpha > 1")
     grid = init.grid
     h = grid.h
     d, _ = rescale_to_constraint(init, w)
     if not d.is_signed_distance:
         d = reinitialize(d)
-    records = []
     obj_prev = None
     step_scale = 1.0
     stall_count = 0
@@ -133,9 +186,10 @@ def optimize(w, init, tol_residual=TOL_RESIDUAL):
         vn[~valid] = 0.0
         vmax = float(np.max(np.abs(vn)))
         dt = CFL * h / max(vmax, 1e-12) * step_scale
-        records.append(dict(iter=it, J=J, phi=phi, objective=obj, mu=mu,
-                            residual_sup=res_sup, residual_l2=res_l2, dt=dt))
-        if res_sup <= tol_residual:
+        records.append(dict(level=grid.nx, iter=it, J=J, phi=phi,
+                            objective=obj, mu=mu, residual_sup=res_sup,
+                            residual_l2=res_l2, dt=dt))
+        if res_l2 <= C_L2 * h:
             reason = "converged"
             break
         if obj_prev is not None and abs(obj_prev - obj) < TOL_OBJECTIVE * abs(obj):
@@ -171,10 +225,4 @@ def optimize(w, init, tol_residual=TOL_RESIDUAL):
         step_scale = min(1.0, step_scale * 1.5)
         d, u, obj = d_new, u_new, obj_new
         mu = estimate_multiplier(u, w)
-
-    final_d, t = fbp_rescale(d, mu, w.alpha)
-    if not final_d.is_signed_distance:
-        final_d = reinitialize(final_d)
-    return OptimizationTrace(records=records, final_domain=final_d,
-                             final_field=solve_torsion(final_d),
-                             final_rescale=t, reason=reason)
+    return d, mu, reason

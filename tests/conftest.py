@@ -11,7 +11,6 @@ import pytest
 
 from torsionshape import (GridSpec, Sublevel, boundary_samples, build_domain,
                           make_weight, optimize)
-from torsionshape.optimizer import TOL_RESIDUAL
 from torsionshape.weight import fourier_weight, radial_weight
 
 BOX = (-2.0, -2.0, 2.0, 2.0)
@@ -35,10 +34,10 @@ def grid256():
 class OptimizerRun:
     """A finished optimizer run plus its wall-clock time and boundary radii."""
 
-    def __init__(self, weight, grid, tol_residual=TOL_RESIDUAL):
+    def __init__(self, weight, grid):
         init = build_domain(grid, Sublevel(weight, 1.0))
         t0 = time.perf_counter()
-        self.trace = optimize(weight, init, tol_residual=tol_residual)
+        self.trace = optimize(weight, init)
         self.runtime = time.perf_counter() - t0
         self.weight = weight
         self.grid = grid
@@ -81,34 +80,23 @@ def _cos2_weight(k, eps, alpha=2.0):
     return fourier_weight(alpha, [k, 0.0, k * eps])
 
 
-# Below the smallest seed residual of the sweep, eps_min / 2 = 0.01.
-SWEEP_TOL = 5e-3
-
-
 @pytest.fixture(scope="session")
 def cos2_eps01_run(grid256):
-    """Perturbed radial weight 0.5(1 + 0.1 cos 2theta): stability test case.
-
-    Runs with SWEEP_TOL, not the default tolerance, because it is also the
-    eps = 0.1 member of sweep_runs: with tol_residual = 0.05 the flow stops
-    after one step, near the seed.
-    """
-    return OptimizerRun(_cos2_weight(0.5, 0.1), grid256,
-                        tol_residual=SWEEP_TOL)
+    """Perturbed radial weight 0.5(1 + 0.1 cos 2theta): stability test case,
+    and the eps = 0.1 member of sweep_runs."""
+    return OptimizerRun(_cos2_weight(0.5, 0.1), grid256)
 
 
 @pytest.fixture(scope="session")
 def sweep_runs(grid256, cos2_eps01_run):
     """Perturbation sweep eps -> run for the stability bracket and width fit.
 
-    The tolerance is explicit (SWEEP_TOL) because the G_1 = {g < 1}
-    seed's boundary responds with amplitude eps/2 instead of the solution's
-    eps/3, so its relative residual is about eps/2 and the default
-    tol_residual = 0.05 accepts it at iteration 0 for eps <= 0.05: the sweep
-    would measure the seed's response rather than the solution's.
+    The G_1 = {g < 1} seed's boundary responds with amplitude eps/2 instead
+    of the solution's eps/3, so its relative L2 residual is about eps/2; the
+    256² level's stop, C_L2 * h = 0.0039, lies below eps_min / 2 = 0.01, so
+    every run leaves its seed.
     """
     runs = {0.1: cos2_eps01_run}
     for eps in (0.02, 0.05):
-        runs[eps] = OptimizerRun(_cos2_weight(0.5, eps), grid256,
-                                 tol_residual=SWEEP_TOL)
+        runs[eps] = OptimizerRun(_cos2_weight(0.5, eps), grid256)
     return runs

@@ -143,6 +143,25 @@ def test_scale_domain_roundtrip(grid128):
     assert hausdorff_distance(d, back) <= 2 * grid128.h
 
 
+def test_scale_domain_keeps_the_clamped_plateau_flat(grid128):
+    # a node whose four bilinear source nodes all hold the clamp value
+    # holds exactly +-t * cap, so the plateau adds nothing to the upwind
+    # support that the flow's velocity extension queries
+    d = build_domain(grid128, Ellipse(1.3, 0.7))
+    cap = float(np.max(np.abs(d.ls)))
+    t = 1.1
+    x0, y0, _, _ = grid128.box
+    src = grid128.nodes() / t
+    i = ((src[..., 0] - x0) / grid128.h).astype(int)
+    j = ((src[..., 1] - y0) / grid128.h).astype(int)
+    at_cap = np.abs(d.ls) == cap
+    clamped = (at_cap[i, j] & at_cap[i + 1, j] & at_cap[i, j + 1]
+               & at_cap[i + 1, j + 1])
+    out = scale_domain(d, t).ls
+    assert np.count_nonzero(clamped) > grid128.shape[0]
+    assert np.all(np.abs(out[clamped]) == t * cap)
+
+
 def test_reinitialize_gradient_near_boundary(grid128):
     pts = grid128.nodes()
     ls = (pts[..., 0] / 1.4) ** 2 + (pts[..., 1] / 0.7) ** 2 - 1.0  # not a distance

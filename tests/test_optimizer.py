@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from torsionshape import (Ball, Ellipse, Sublevel, build_domain, energy_J,
-                          estimate_multiplier, fbp_rescale, hausdorff_distance,
-                          optimize, phi_constraint, rescale_to_constraint,
-                          residual_fbp, scale_domain, shape_derivative,
-                          solve_torsion)
+from torsionshape import (Ball, Ellipse, GridSpec, Sublevel, build_domain,
+                          energy_J, estimate_multiplier, fbp_rescale,
+                          hausdorff_distance, optimize, phi_constraint,
+                          rescale_to_constraint, residual_fbp, scale_domain,
+                          shape_derivative, solve_torsion)
 from torsionshape import domain, kernels, optimizer
 from torsionshape.optimizer import REINIT_EVERY
 from torsionshape.errors import AlphaOne, BadMultiplier, OutOfBox
@@ -16,9 +16,10 @@ from torsionshape.weight import radial_weight
 
 
 def test_optimizer_params_validated(grid64):
+    # the flow has no setting: each level stops on its own C_L2 * h
     init = build_domain(grid64, Ball(radius=1.0))
-    with pytest.raises(ValueError):
-        optimize(radial_weight(0.5, 2.0), init, tol_residual=-1.0)
+    with pytest.raises(TypeError):
+        optimize(radial_weight(0.5, 2.0), init, tol_residual=5e-2)
 
 
 def test_rescale_to_constraint(grid256):
@@ -124,8 +125,14 @@ def test_optimize_fixed_point_from_oracle_ball(grid128):
     assert sup <= 5e-2
 
 
+def _finest(trace):
+    """The records of the trace's finest level."""
+    level = trace.records[-1]["level"]
+    return [rec for rec in trace.records if rec["level"] == level]
+
+
 def test_optimize_trace_invariants(radial_run):
-    recs = radial_run.trace.records
+    recs = _finest(radial_run.trace)
     assert len(recs) >= 1
     for rec in recs:
         assert abs(rec["phi"] - 1.0) <= 1e-3
@@ -143,9 +150,15 @@ def test_optimize_unique_limit_from_two_inits(grid128):
     w = radial_weight(0.5, 2.0)
     base = build_domain(grid128, Sublevel(w, 1.0))
     finals = []
-    for s in (0.5, 1.3):
+    for s, first_level in ((0.5, 64), (1.3, 128)):
         trace = optimize(w, scale_domain(base, s))
+        assert trace.records[0]["level"] == first_level
         finals.append(trace.final_domain)
+    # the 1.3 seed starts at the fine level: at 64² the box's 4-cell margin
+    # is twice as wide, and its injected front lies in it
+    with pytest.raises(OutOfBox):
+        domain.Domain(GridSpec(64, 64, grid128.box),
+                      scale_domain(base, 1.3).ls[::2, ::2])
     assert hausdorff_distance(*finals) <= 3 * grid128.h
 
 
@@ -179,14 +192,39 @@ def test_optimize_builds_each_domain_geometry_once(grid64, monkeypatch):
     assert calls["scale_domain"] == 2
 
 
-def test_optimize_phi_drifts_little(grid128):
-    # the flow projects onto phi = 1 only once; the fitted multiplier holds
-    # phi to first order on a moving flow
-    trace = optimize(radial_weight(0.5, 2.0),
-                     build_domain(grid128, Ellipse(1.3, 0.7)))
+@pytest.fixture(scope="module")
+def ellipse_trace128(grid128):
+    """The radial flow k = 1/2, alpha = 2 from Ellipse(1.3, 0.7) at 128²."""
+    return optimize(radial_weight(0.5, 2.0),
+                    build_domain(grid128, Ellipse(1.3, 0.7)))
+
+
+def test_optimize_phi_drifts_little(ellipse_trace128):
+    # each level projects onto phi = 1 only once; the fitted multiplier
+    # holds phi to first order on a moving flow
+    trace = ellipse_trace128
     assert trace.reason == "converged" and len(trace.records) >= 10
-    assert trace.records[0]["phi"] == pytest.approx(1.0, abs=1e-3)
-    assert max(abs(rec["phi"] - 1.0) for rec in trace.records) <= 0.02
+    recs = _finest(trace)
+    assert recs[0]["phi"] == pytest.approx(1.0, abs=1e-3)
+    assert max(abs(rec["phi"] - 1.0) for rec in recs) <= 0.02
+
+
+def test_optimize_radial_flow_reaches_the_ball(ellipse_trace128):
+    s = ellipse_trace128.final_domain.samples
+    r = np.hypot(s.points[:, 0], s.points[:, 1])
+    assert ellipse_trace128.reason == "converged"
+    assert np.max(np.abs(r - 1.0)) <= 0.02
+
+
+@pytest.mark.parametrize("n, levels", [(128, [64, 128]), (48, [48]),
+                                       (81, [81])])
+def test_optimize_runs_coarse_to_fine(n, levels):
+    grid = GridSpec(n, n, (-2.0, -2.0, 2.0, 2.0))
+    trace = optimize(radial_weight(0.5, 2.0),
+                     build_domain(grid, Ellipse(1.2, 0.8)))
+    seen = [rec["level"] for rec in trace.records]
+    assert seen == sorted(seen) and sorted(set(seen)) == levels
+    assert trace.final_domain.grid is grid
 
 
 def test_optimize_redistances_on_schedule(grid64, monkeypatch):
@@ -230,8 +268,8 @@ def _extend_whole_grid(grid, samples, vn_samples, ls):
 
 
 def test_extension_on_upwind_support_keeps_advection(grid64):
-    # the homothety's bilinear resampling leaves ulp-level steps on the
-    # clamped plateau; the support must include them, for those nodes move
+    # after the homothety the clamped plateau is flat, but its edge nodes
+    # border lower values; the support must include them, for they move
     w = radial_weight(0.5, 2.0)
     d, _ = rescale_to_constraint(build_domain(grid64, Ellipse(1.3, 0.7)), w)
     plateau = np.abs(d.ls) > (1.0 - 1e-12) * np.max(np.abs(d.ls))
@@ -265,3 +303,11 @@ def test_optimize_rejects_a_step_into_the_margin(grid64, monkeypatch):
     init = build_domain(grid64, Ellipse(1.3, 0.7))
     with pytest.raises(OutOfBox):
         optimize(radial_weight(0.5, 2.0), init)
+
+
+@pytest.mark.parametrize("run", ["fourier03_run", "pnorm_run"])
+def test_non_radial_runs_take_a_step(run, request):
+    # unlike a radial weight's, a non-radial G_1 seed is not the solution;
+    # a level with n records took n - 1 steps
+    recs = request.getfixturevalue(run).trace.records
+    assert len(recs) - len({rec["level"] for rec in recs}) >= 1
