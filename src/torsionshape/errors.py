@@ -33,6 +33,10 @@ class GridMismatch(TorsionShapeError):
     """Operation requires both domains on the same grid."""
 
 
+class StarvedBoundary(TorsionShapeError):
+    """No boundary sample has interior probes for the gradient."""
+
+
 class SolverDiverged(TorsionShapeError):
     """Linear solver failed to reach the target residual."""
 

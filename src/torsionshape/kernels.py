@@ -16,6 +16,9 @@ USE_NUMBA = False  # no compiled kernels; perfbench/worker.py still records it
 # ---------------------------------------------------------------------------
 
 def poisson_matvec(diag, cw, ce, cs, cn, u):
+    """Grid-stencil reference that the tests compare the torsion CSR with.
+
+    ``src/`` no longer calls it; the benchmark's tracer hooks it by name."""
     out = diag * u
     out[1:, :] -= cw[1:, :] * u[:-1, :]
     out[:-1, :] -= ce[:-1, :] * u[1:, :]

@@ -7,9 +7,8 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse import csr_matrix
 
-from . import kernels
 from .domain import interp_bilinear
-from .errors import SolverDiverged
+from .errors import SolverDiverged, StarvedBoundary
 from .oracle import phi_degree
 from .weight import eval_weight
 
@@ -44,56 +43,43 @@ class StressField:
         return vals, valid
 
 
-def _build_system(d):
-    ls = d.ls
-    h = d.grid.h
-    inside = ls < 0.0
-    inv_h2 = 1.0 / (h * h)
-    shape = ls.shape
-    diag = np.zeros(shape)
-    cw = np.zeros(shape)
-    ce = np.zeros(shape)
-    cs = np.zeros(shape)
-    cn = np.zeros(shape)
+def _interior_operator(d):
+    """The ghost-fluid five-point operator on ``inside = ls < 0``, as CSR.
 
-    # a Domain's frame is outside, so no interior node reads the padding,
-    # and at a cut ls - nb <= ls < 0
-    pad = np.pad(ls, 1, mode="constant", constant_values=np.inf)
-    nb_w = pad[:-2, 1:-1]
-    nb_e = pad[2:, 1:-1]
-    nb_s = pad[1:-1, :-2]
-    nb_n = pad[1:-1, 2:]
-    for nb, coup in ((nb_w, cw), (nb_e, ce), (nb_s, cs), (nb_n, cn)):
-        nb_in = inside & (nb < 0.0)
-        coup[nb_in] = inv_h2
-        diag[nb_in] += inv_h2
-        # ghost value by linear extrapolation through the zero crossing
-        cut = inside & ~nb_in
-        t = np.clip(ls[cut] / (ls[cut] - nb[cut]), THETA_MIN, 1.0)
-        diag[cut] += inv_h2 / t
-    b = np.where(inside, 1.0, 0.0)
-    return inside, diag, cw, ce, cs, cn, b
-
-
-def _interior_operator(inside, diag, cw, ce, cs, cn):
-    """The stencil of ``_build_system`` on the interior nodes, as CSR.
-
-    Unknown ``k`` is the k-th interior node in C order, so the columns of a
-    row are ordered west, south, centre, north, east.  A coupling is only
-    nonzero between two interior nodes, and the centre always is.
+    Unknown ``k`` is the k-th interior node in C order, so a row's columns
+    run west, south, centre, north, east.  An outside neighbour, at zero
+    crossing fraction theta, adds 1/(theta h^2) to the diagonal and no
+    column.  Returns (A, inside).
     """
+    ls = d.ls
+    inv_h2 = 1.0 / (d.grid.h * d.grid.h)
+    inside = ls < 0.0
     n = int(np.count_nonzero(inside))
-    idx = np.full(inside.shape, -1, dtype=np.int32)
+    idx = np.full(ls.shape, -1, dtype=np.int32)
     idx[inside] = np.arange(n, dtype=np.int32)
-    pad = np.pad(idx, 1, constant_values=-1)
-    cols = np.stack([pad[:-2, 1:-1][inside], pad[1:-1, :-2][inside], idx[inside],
-                     pad[1:-1, 2:][inside], pad[2:, 1:-1][inside]], axis=1)
-    vals = np.stack([-cw[inside], -cs[inside], diag[inside],
-                     -cn[inside], -ce[inside]], axis=1)
-    keep = vals != 0.0
+    # a Domain's frame is outside, so every interior node has its four
+    # neighbours on the grid, and the core's C order is the grid's
+    core = inside[1:-1, 1:-1]
+    west, east = np.s_[:-2, 1:-1], np.s_[2:, 1:-1]
+    south, north = np.s_[1:-1, :-2], np.s_[1:-1, 2:]
+    centre = ls[inside]
+    diag = np.zeros(n)
+    for side in (west, east, south, north):
+        nb = ls[side][core]
+        coef = np.full(n, inv_h2)
+        # at a cut ls - nb <= ls < 0
+        cut = nb >= 0.0
+        coef[cut] /= np.clip(centre[cut] / (centre[cut] - nb[cut]),
+                             THETA_MIN, 1.0)
+        diag += coef
+    cols = np.stack([idx[west][core], idx[south][core], idx[inside],
+                     idx[north][core], idx[east][core]], axis=1)
+    keep = cols >= 0
+    vals = np.full(cols.shape, -inv_h2)
+    vals[:, 2] = diag
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
-    return csr_matrix((vals[keep], cols[keep], indptr), shape=(n, n))
+    return csr_matrix((vals[keep], cols[keep], indptr), shape=(n, n)), inside
 
 
 # the 3x3 fine nodes (2I + di, 2J + dj) of coarse node (I, J) in C order, and
@@ -203,26 +189,24 @@ def solve_torsion(d):
     Phys. 176, 2002).  The system is assembled on the interior nodes only
     and solved by CG preconditioned with one multigrid V-cycle, whose
     iteration count does not grow with the grid.  The result is accepted on
-    its true residual, recomputed with the grid stencil; CG restarts from it
-    in the rare case that rounding left it above the recursive one.
+    its true residual b - A x, recomputed from x on the same operator; CG
+    restarts from it in the rare case that rounding left it above the
+    recursive one.
     """
-    inside, diag, cw, ce, cs, cn, b = _build_system(d)
-    A = _interior_operator(inside, diag, cw, ce, cs, cn)
-    b_in = b[inside]
+    A, inside = _interior_operator(d)
+    n = A.shape[0]
+    b = np.ones(n)
     mg = _multigrid(A, inside)
-    bnorm = np.sqrt(np.dot(b_in, b_in))
+    bnorm = np.sqrt(n)
     tol = CG_RTOL * bnorm
     maxiter = 20 * max(d.grid.nx, d.grid.ny)
-    x = np.zeros_like(b)
-    x_in = np.zeros_like(b_in)
-    r = b_in.copy()
+    x = np.zeros(n)
+    r = b.copy()
     it = 0
     while True:
-        steps = _pcg(A, x_in, r, mg, tol, maxiter - it)
+        steps = _pcg(A, x, r, mg, tol, maxiter - it)
         it += steps
-        x[inside] = x_in
-        ax = kernels.poisson_matvec(diag, cw, ce, cs, cn, x)
-        r = b_in - ax[inside]
+        r = b - A @ x
         rnorm = np.sqrt(np.dot(r, r))
         if rnorm <= tol or steps == 0:  # met, or budget spent / breakdown
             break
@@ -230,10 +214,10 @@ def solve_torsion(d):
     if not res <= CG_RTOL:
         raise SolverDiverged(
             f"MG-PCG true residual {res:g} > rtol {CG_RTOL:g} after {it} "
-            f"iterations on {len(b_in)} unknowns, grid "
-            f"{d.grid.nx}x{d.grid.ny}")
-    return StressField(domain=d, values=np.maximum(x, 0.0), iterations=it,
-                       residual=res)
+            f"iterations on {n} unknowns, grid {d.grid.nx}x{d.grid.ny}")
+    values = np.zeros(d.ls.shape)
+    values[inside] = np.maximum(x, 0.0)
+    return StressField(domain=d, values=values, iterations=it, residual=res)
 
 
 # --- functionals ------------------------------------------------------------
@@ -264,8 +248,9 @@ def boundary_gradient(u):
     Uses two interior points at depths m*h and (m+1)*h (m = 1..4 minimal such
     that all bilinear stencil nodes of both are interior) together with u = 0
     at the sample point; one pass tests all five depths.  Returns (values,
-    valid mask); starved samples are 0 and flagged.  ``u.gradient`` caches
-    the result.
+    valid mask); starved samples are 0 and flagged.  Raises StarvedBoundary
+    when every sample is starved, a domain too thin for the grid.
+    ``u.gradient`` caches the result.
     """
     d = u.domain
     grid = d.grid
@@ -282,6 +267,9 @@ def boundary_gradient(u):
     ok = corners_in[:-1] & corners_in[1:]
     valid = ok.any(axis=0)
     sel = np.flatnonzero(valid)
+    if sel.size == 0:
+        raise StarvedBoundary(f"none of {len(s)} boundary samples has two "
+                              f"interior probes, grid {grid.nx}x{grid.ny}")
     m = np.argmax(ok, axis=0)[sel]
     s1, s2 = depth[m], depth[m + 1]
     u1 = interp_bilinear(u.values, grid, q[m, sel])
@@ -299,7 +287,7 @@ def residual_fbp(u, w, c):
     target = c * g
     diff = grad[valid] - target[valid]
     ds = s.ds[valid]
-    sup_ref = float(np.max(np.abs(target[valid]))) if np.any(valid) else 0.0
+    sup_ref = float(np.max(np.abs(target[valid])))
     if sup_ref <= 0.0:
         gn = np.sqrt(np.sum(grad[valid] ** 2 * ds))
         return float(np.max(np.abs(grad[valid]))), float(gn)

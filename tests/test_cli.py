@@ -139,6 +139,26 @@ def test_alpha_one_exits_3(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_starved_boundary_exits_3(tmp_path, capsys, command):
+    # at k = 400 the sublevel set G1 has radius 0.05, under one cell at
+    # 64², so no boundary sample has two interior probes for |grad u|
+    if command == "solve":
+        args = ["solve", "--out", str(tmp_path / "o"),
+                "--override", "grid.nx=64", "--override", "grid.ny=64"]
+    else:
+        path = tmp_path / "ball.csv"
+        save_domain(build_domain(GridSpec(64, 64, (-2.0, -2.0, 2.0, 2.0)),
+                                 Ball(radius=0.1)), path)
+        args = ["verify", "--domain", str(path),
+                "--override", 'checks=["sandwich"]']
+    weight = 'weight.profile={"type":"radial","k":400}'
+    assert main(["--quiet", *args, "--override", weight]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "StarvedBoundary"
+    assert "grid 64x64" in err["message"]
+
+
 def test_oracle_subcommand(capsys):
     assert main(["oracle", "--k", "0.5", "--alpha", "2", "--eps", "0.1"]) == 0
     rep = json.loads(capsys.readouterr().out)

@@ -13,8 +13,8 @@ from torsionshape import kernels, torsion
 from torsionshape.domain import (cell_quadrature, interp_bilinear,
                                  random_starshaped_blob, schwarz_symmetrize,
                                  steiner_symmetrize)
-from torsionshape.errors import EmptyDomain, SolverDiverged
-from torsionshape.torsion import (CG_RTOL, MG_COARSE, _build_system,
+from torsionshape.errors import EmptyDomain, SolverDiverged, StarvedBoundary
+from torsionshape.torsion import (CG_RTOL, MG_COARSE, THETA_MIN,
                                   _interior_operator, _multigrid,
                                   boundary_gradient)
 from torsionshape.weight import radial_weight
@@ -97,28 +97,61 @@ def test_solver_diverged_names_its_context(monkeypatch):
     assert int(m.group(3)) == n
 
 
+def _grid_stencil(d):
+    """The ghost-fluid stencil as five full-grid arrays, from a padded ls.
+
+    Built apart from the CSR operator, as the reference it is checked
+    against: (inside, diag, cw, ce, cs, cn) for ``kernels.poisson_matvec``.
+    """
+    ls = d.ls
+    inv_h2 = 1.0 / d.grid.h ** 2
+    inside = ls < 0.0
+    pad = np.pad(ls, 1, constant_values=np.inf)
+    diag = np.zeros(ls.shape)
+    coup = []
+    for nb in (pad[:-2, 1:-1], pad[2:, 1:-1], pad[1:-1, :-2], pad[1:-1, 2:]):
+        nb_in = inside & (nb < 0.0)
+        coup.append(np.where(nb_in, inv_h2, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            theta = np.clip(ls / (ls - nb), THETA_MIN, 1.0)
+        diag += np.where(nb_in, inv_h2, np.where(inside, inv_h2 / theta, 0.0))
+    return (inside, diag, *coup)
+
+
 def test_interior_operator_matches_stencil():
     grid = GridSpec(64, 64, BOX)
     d = build_domain(grid, Ellipse(1.3, 0.7))
-    inside, diag, cw, ce, cs, cn, b = _build_system(d)
+    A, inside = _interior_operator(d)
+    ref_inside, diag, cw, ce, cs, cn = _grid_stencil(d)
+    assert np.array_equal(inside, ref_inside)
     # the domain is cut: some interior nodes carry a ghost-fluid diagonal
     assert np.any(diag[inside] > 4.0 / grid.h ** 2 * (1 + 1e-12))
-    A = _interior_operator(inside, diag, cw, ce, cs, cn)
     n = int(np.count_nonzero(inside))
     assert A.shape == (n, n)
     assert abs(A - A.T).max() == 0.0
+    # one entry per unknown and two per interior-interior edge, and every
+    # off-diagonal couples two 4-neighbours: no column names an outside node
+    edges = (np.count_nonzero(inside[1:, :] & inside[:-1, :])
+             + np.count_nonzero(inside[:, 1:] & inside[:, :-1]))
+    assert A.nnz == n + 2 * edges
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    off = rows != A.indices
+    pos = np.argwhere(inside)
+    assert np.all(A.indices >= 0)
+    assert np.all(np.abs(pos[rows[off]] - pos[A.indices[off]]).sum(axis=1) == 1)
     v = np.zeros(grid.shape)
     v[inside] = np.random.default_rng(0).standard_normal(n)
-    out = kernels.poisson_matvec(diag, cw, ce, cs, cn, v)
-    expect = out[inside]
+    expect = kernels.poisson_matvec(diag, cw, ce, cs, cn, v)[inside]
     got = A @ v[inside]
     assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
+    # the stored residual is the gate's b - A x on the CSR; the grid
+    # stencil sums in another order, so it is only held to the tolerance
     u = solve_torsion(d)
+    r = 1.0 - A @ u.values[inside]
+    assert u.residual == np.sqrt(np.dot(r, r)) / np.sqrt(n)
     out = kernels.poisson_matvec(diag, cw, ce, cs, cn, u.values)
-    res = np.linalg.norm((b - out)[inside]) / np.linalg.norm(b[inside])
-    assert u.residual == pytest.approx(res, rel=1e-9)
-    assert u.residual <= CG_RTOL
+    assert np.linalg.norm((1.0 - out)[inside]) / np.sqrt(n) <= CG_RTOL
 
 
 def test_solve_restarts_from_true_residual(monkeypatch):
@@ -155,9 +188,8 @@ def test_solve_matches_direct_solve(n, make):
     # 45 cells give an even node count; at 119 the margin has shrunk away on
     # a deep level, whose stencils then reach past the last row of its grid
     d = make(GridSpec(n, n, BOX))
-    inside, diag, cw, ce, cs, cn, b = _build_system(d)
-    A = _interior_operator(inside, diag, cw, ce, cs, cn)
-    x = spsolve(A.tocsc(), b[inside])
+    A, inside = _interior_operator(d)
+    x = spsolve(A.tocsc(), np.ones(A.shape[0]))
     u = solve_torsion(d)
     assert np.linalg.norm(u.values[inside] - x) <= 1e-9 * np.linalg.norm(x)
 
@@ -170,8 +202,7 @@ def test_iterations_do_not_grow_with_the_grid(n):
 
 
 def _coarse_operators(d):
-    inside, diag, cw, ce, cs, cn, _ = _build_system(d)
-    A = _interior_operator(inside, diag, cw, ce, cs, cn)
+    A, inside = _interior_operator(d)
     levels, _ = _multigrid(A, inside)
     return [R @ (Al @ P) for Al, _, R, P in levels]
 
@@ -309,6 +340,18 @@ def test_boundary_gradient_starved_samples(grid64, b):
     ref, ref_valid = _two_point_reference(u)
     assert np.array_equal(valid, ref_valid)
     assert np.array_equal(grad, ref)
+
+
+def test_boundary_gradient_all_starved_raises(grid64):
+    # a ball of radius under one cell: every sample is starved, so no gradient,
+    # multiplier or residual can be read from it
+    u = solve_torsion(build_domain(grid64, Ball(radius=0.05)))
+    n = len(u.domain.samples)
+    with pytest.raises(StarvedBoundary, match=rf"none of {n} boundary "
+                       r"samples .* grid 64x64"):
+        boundary_gradient(u)
+    with pytest.raises(StarvedBoundary):
+        residual_fbp(u, radial_weight(0.5, 2.0), 1.0)
 
 
 def test_boundary_gradient_scaling_relation(grid256):
