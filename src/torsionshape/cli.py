@@ -156,17 +156,10 @@ def cmd_solve(cfg, quiet):
     tol_residual = cfg["optimizer"]["tol_residual"]
     g1 = build_domain(grid, Sublevel(w, 1.0))
     trace = optimize(w, g1)
-    out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
-    lines = "".join(json.dumps(rec, sort_keys=True) + "\n"
-                    for rec in trace.records)
-    _atomic_write(os.path.join(out, "trace.jsonl"), lines)
     d = trace.final_domain
     u = trace.final_field
-    save_domain(d, os.path.join(out, "domain.csv"))
-    with atomic_open(os.path.join(out, "field.csv")) as fh:
-        np.savetxt(fh, u.values, delimiter=",")
-    save_boundary(d.samples, os.path.join(out, "boundary.csv"))
+    # everything that can raise a numerical error runs before the first
+    # write, so a failed solve leaves the previous output set untouched
     res_sup, res_l2 = residual_fbp(u, w, 1.0)
     reports = _run_checks(cfg["checks"], d, w, g1=g1, u=u)
     report = {
@@ -183,6 +176,15 @@ def cmd_solve(cfg, quiet):
         "checks": [r.to_json() for r in reports],
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
+    out = cfg["out"]
+    os.makedirs(out, exist_ok=True)
+    lines = "".join(json.dumps(rec, sort_keys=True) + "\n"
+                    for rec in trace.records)
+    _atomic_write(os.path.join(out, "trace.jsonl"), lines)
+    save_domain(d, os.path.join(out, "domain.csv"))
+    with atomic_open(os.path.join(out, "field.csv")) as fh:
+        np.savetxt(fh, u.values, delimiter=",")
+    save_boundary(d.samples, os.path.join(out, "boundary.csv"))
     _atomic_write(os.path.join(out, "report.json"), _dump_json(report))
     ok = all(r.passed for r in reports) and res_sup <= tol_residual
     if not quiet:

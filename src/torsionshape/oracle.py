@@ -2,6 +2,8 @@
 
 import math
 
+import numpy as np
+
 from .errors import AlphaOne, EpsTooLarge
 
 
@@ -83,17 +85,40 @@ def width_slope(k, alpha, N=2):
     return 2.0 / ((alpha - 1.0) * (N * k) ** (1.0 / (alpha - 1.0)))
 
 
+def response_modes(k, alpha, a, b):
+    """First-order Fourier modes (A, B) of the solution's boundary, N = 2.
+
+    For g = k r^alpha (1 + sum_m (a[m] cos m theta + b[m] sin m theta)) with
+    small relative amplitudes a and b indexed from m = 0 (b[0] multiplies
+    sin 0), linearise around the ball R0 = fbp_radius(k, alpha) one mode at
+    a time: boundary r = R0 (1 + e cos m theta), u = (R0^2 - r^2)/4
+    + c r^m cos m theta.  u = 0 on the boundary gives c R0^m = R0^2 e / 2,
+    and |grad u| = g there gives e = -a[m]/(m + alpha - 1).  So
+    r = sum_m (A[m] cos m theta + B[m] sin m theta) + O(eps^2) with
+    A[m] = R0 (delta_m0 - a[m]/(m + alpha - 1)) and
+    B[m] = -R0 b[m]/(m + alpha - 1).  A single driven mode's amplitude is
+    odd in its eps (a rotation by pi/m flips the sign), so its error is
+    O(eps^3).
+    """
+    R0 = fbp_radius(k, alpha, 2)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    A = -R0 * a / (np.arange(len(a)) + alpha - 1.0)
+    B = -R0 * b / (np.arange(len(b)) + alpha - 1.0)
+    A[0] += R0
+    B[0] = 0.0
+    return A, B
+
+
 def response_width_slope(k, alpha, m=2):
     """Leading-order d(r_max - r_min)/d eps of the solution, N = 2.
 
-    For g = k r^alpha (1 + eps cos m theta), linearise around the ball
-    R0 = (2k)^(-1/(alpha-1)): boundary r = R0 (1 + eps a cos m theta),
-    u = (R0^2 - r^2)/4 + eps c r^m cos m theta.  u = 0 on the boundary gives
-    c R0^m = R0^2 a / 2; |grad u| = g there gives a = -1/(m + alpha - 1).
-    The min-max width is 2 R0 eps / (m + alpha - 1), which is below the
-    bracket slope of width_slope by the factor (alpha - 1)/(m + alpha - 1).
+    The min-max width of one cosine mode of response_modes, 2 R0 eps /
+    (m + alpha - 1), is below the bracket slope of width_slope by the factor
+    (alpha - 1)/(m + alpha - 1).
     """
-    return 2.0 * fbp_radius(k, alpha, 2) / (m + alpha - 1.0)
+    A, _ = response_modes(k, alpha, np.eye(m + 1)[m], np.zeros(1))
+    return 2.0 * abs(A[m])
 
 
 def sandwich_radial(k, alpha, N=2):

@@ -159,6 +159,22 @@ def test_starved_boundary_exits_3(tmp_path, capsys, command):
     assert "grid 64x64" in err["message"]
 
 
+def test_failed_solve_leaves_the_output_set_untouched(tmp_path):
+    # the k = 400 solve raises StarvedBoundary after its flow; nothing may
+    # be written by then, or new artifacts would sit beside an old report
+    out = tmp_path / "o"
+    grid = ["--override", "grid.nx=64", "--override", "grid.ny=64"]
+    assert main(["--quiet", "solve", "--out", str(out), *grid]) == 0
+    names = ("trace.jsonl", "domain.csv", "field.csv", "boundary.csv",
+             "report.json")
+    before = {name: (out / name).read_bytes() for name in names}
+    weight = 'weight.profile={"type":"radial","k":400}'
+    assert main(["--quiet", "solve", "--out", str(out), *grid,
+                 "--override", weight]) == 3
+    assert {name: (out / name).read_bytes() for name in names} == before
+    assert sorted(os.listdir(out)) == sorted(names)
+
+
 def test_oracle_subcommand(capsys):
     assert main(["oracle", "--k", "0.5", "--alpha", "2", "--eps", "0.1"]) == 0
     rep = json.loads(capsys.readouterr().out)

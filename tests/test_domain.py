@@ -145,8 +145,8 @@ def test_scale_domain_roundtrip(grid128):
 
 def test_scale_domain_keeps_the_clamped_plateau_flat(grid128):
     # a node whose four bilinear source nodes all hold the clamp value
-    # holds exactly +-t * cap, so the plateau adds nothing to the upwind
-    # support that the flow's velocity extension queries
+    # holds exactly +-t * cap, so the plateau stays flat and an upwind step
+    # leaves it unchanged
     d = build_domain(grid128, Ellipse(1.3, 0.7))
     cap = float(np.max(np.abs(d.ls)))
     t = 1.1

@@ -110,6 +110,20 @@ def test_response_width_slope_values():
         oracle.response_width_slope(0.5, 1.0, 2)
 
 
+def test_response_modes_values():
+    A, B = oracle.response_modes(0.5, 2.0, [0.0, 0.0, 0.1], [0.0, 0.0, 0.0, 0.05])
+    assert A == pytest.approx([1.0, 0.0, -0.1 / 3.0], abs=1e-15)
+    assert B == pytest.approx([0.0, 0.0, 0.0, -0.0125], abs=1e-15)
+    # mode 0 rescales k: the ball of k (1 + delta) to first order in delta
+    for k, alpha in ((0.5, 2.0), (1.0, 3.0), (0.7, 2.5)):
+        delta = 1e-5
+        A, _ = oracle.response_modes(k, alpha, [delta], [0.0])
+        assert A[0] == pytest.approx(oracle.fbp_radius(k * (1 + delta), alpha),
+                                     abs=1e-9)
+    with pytest.raises(AlphaOne):
+        oracle.response_modes(0.5, 1.0, [0.0, 0.1], [0.0])
+
+
 def test_sandwich_radial_values():
     A, B, inner, outer = oracle.sandwich_radial(0.5, 2.0, 2)
     assert A == B == pytest.approx(np.sqrt(2.0) / 2.0)
