@@ -1,6 +1,7 @@
 """Command-line entry point: run orchestration and artifact emission."""
 
 import argparse
+import contextlib
 import copy
 import datetime
 import json
@@ -11,7 +12,7 @@ import numpy as np
 
 from . import oracle as oracle_mod
 from .domain import (Ball, GridSpec, Sublevel, atomic_open, build_domain,
-                     load_domain, save_boundary, save_domain)
+                     load_domain, save_boundary, save_domain, write_csv)
 from .errors import (BadDegree, ConfigParse, NonPositiveProfile,
                      TorsionShapeError)
 from .optimizer import optimize, shape_derivative
@@ -176,16 +177,19 @@ def cmd_solve(cfg, quiet):
         "checks": [r.to_json() for r in reports],
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
+    # the five files are staged side by side and renamed only after the
+    # last one is written, so a failed write leaves the old set whole
     out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
-    lines = "".join(json.dumps(rec, sort_keys=True) + "\n"
-                    for rec in trace.records)
-    _atomic_write(os.path.join(out, "trace.jsonl"), lines)
-    save_domain(d, os.path.join(out, "domain.csv"))
-    with atomic_open(os.path.join(out, "field.csv")) as fh:
-        np.savetxt(fh, u.values, delimiter=",")
-    save_boundary(d.samples, os.path.join(out, "boundary.csv"))
-    _atomic_write(os.path.join(out, "report.json"), _dump_json(report))
+    with contextlib.ExitStack() as stack:
+        fh = {name: stack.enter_context(atomic_open(os.path.join(out, name)))
+              for name in ("trace.jsonl", "domain.csv", "field.csv",
+                           "boundary.csv", "report.json")}
+        fh["trace.jsonl"].writelines(json.dumps(rec, sort_keys=True) + "\n"
+                                     for rec in trace.records)
+        save_domain(d, fh["domain.csv"])
+        write_csv(fh["field.csv"], u.values)
+        save_boundary(d.samples, fh["boundary.csv"])
+        fh["report.json"].write(_dump_json(report))
     ok = all(r.passed for r in reports) and res_sup <= tol_residual
     if not quiet:
         print(f"solve: residual_sup={res_sup:.3g} termination={trace.reason} "

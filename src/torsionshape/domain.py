@@ -397,12 +397,33 @@ def atomic_open(path):
         raise
 
 
-def save_domain(d, path):
+def write_csv(fh, a):
+    """Write the 2-D float array ``a`` to the text handle ``fh``, byte for
+    byte as NumPy's text writer does with ``delimiter=","`` and its default
+    format: ``%.18e`` values, ``,`` between them and ``\\n`` after each row.
+
+    Each distinct bit pattern is formatted once (bits, not values, so that
+    ``0.0`` and ``-0.0`` keep their own text), and the rows go out one at a
+    time, so the file's text is never held whole. The gain comes from
+    repeated values: a solve's level set sits on its ±cap and its ``u`` is 0
+    at most nodes, which takes a 256² ``domain.csv`` or ``field.csv`` from
+    15–18 ms to 5 ms. On an all-distinct random 257² array it is 22% slower
+    than NumPy's writer (39 vs 32 ms); no ``solve`` artifact looks like that.
+    """
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    bits, inverse = np.unique(a.view(np.uint64), return_inverse=True)
+    text = np.array(["%.18e" % v for v in bits.view(np.float64).tolist()],
+                    dtype=object)
+    fh.writelines(",".join(row) + "\n"
+                  for row in text[inverse.reshape(a.shape)].tolist())
+
+
+def save_domain(d, fh):
+    """Write ``d`` to the text handle ``fh``: the header line
+    ``nx,ny,x0,y0,x1,y1``, then one row of ``ls`` per x."""
     x0, y0, x1, y1 = d.grid.box
-    header = f"{d.grid.nx},{d.grid.ny},{x0},{y0},{x1},{y1}"
-    with atomic_open(path) as fh:
-        fh.write(header + "\n")
-        np.savetxt(fh, d.ls, delimiter=",")
+    fh.write(f"{d.grid.nx},{d.grid.ny},{x0},{y0},{x1},{y1}\n")
+    write_csv(fh, d.ls)
 
 
 def load_domain(path):
@@ -414,8 +435,9 @@ def load_domain(path):
     return Domain(GridSpec(nx, ny, box), ls)
 
 
-def save_boundary(samples, path):
-    rows = np.column_stack([samples.points, samples.normals, samples.ds])
-    with atomic_open(path) as fh:
-        fh.write("x,y,nx,ny,ds\n")
-        np.savetxt(fh, rows, delimiter=",")
+def save_boundary(samples, fh):
+    """Write ``samples`` to the text handle ``fh``, one ``x,y,nx,ny,ds`` row
+    per sample under that header."""
+    fh.write("x,y,nx,ny,ds\n")
+    write_csv(fh, np.column_stack([samples.points, samples.normals,
+                                   samples.ds]))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from torsionshape import Ball, GridSpec, build_domain, oracle
+from torsionshape import cli, domain
 from torsionshape.cli import DEFAULT_CONFIG, load_config, main
 from torsionshape.errors import ConfigParse
 from torsionshape.domain import save_domain
@@ -148,8 +149,9 @@ def test_starved_boundary_exits_3(tmp_path, capsys, command):
                 "--override", "grid.nx=64", "--override", "grid.ny=64"]
     else:
         path = tmp_path / "ball.csv"
-        save_domain(build_domain(GridSpec(64, 64, (-2.0, -2.0, 2.0, 2.0)),
-                                 Ball(radius=0.1)), path)
+        with open(path, "w") as fh:
+            save_domain(build_domain(GridSpec(64, 64, (-2.0, -2.0, 2.0, 2.0)),
+                                     Ball(radius=0.1)), fh)
         args = ["verify", "--domain", str(path),
                 "--override", 'checks=["sandwich"]']
     weight = 'weight.profile={"type":"radial","k":400}'
@@ -175,6 +177,31 @@ def test_failed_solve_leaves_the_output_set_untouched(tmp_path):
     assert sorted(os.listdir(out)) == sorted(names)
 
 
+def test_failed_write_leaves_the_output_set_untouched(tmp_path, monkeypatch):
+    # the five files are renamed together after the last is written, so a
+    # write that fails midway (here field.csv, after domain.csv and
+    # trace.jsonl) leaves the old set whole and no temp file behind
+    out = tmp_path / "o"
+    grid = ["--override", "grid.nx=64", "--override", "grid.ny=64"]
+    assert main(["--quiet", "solve", "--out", str(out), *grid]) == 0
+    names = ("trace.jsonl", "domain.csv", "field.csv", "boundary.csv",
+             "report.json")
+    before = {name: (out / name).read_bytes() for name in names}
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("disk full")
+
+    # cmd_solve writes field.csv through its own name of the writer;
+    # save_domain and save_boundary look theirs up in domain
+    monkeypatch.setattr(cli, "write_csv", boom)
+    weight = 'weight.profile={"type":"radial","k":0.6}'
+    with pytest.raises(RuntimeError, match="disk full"):
+        main(["--quiet", "solve", "--out", str(out), *grid,
+              "--override", weight])
+    assert {name: (out / name).read_bytes() for name in names} == before
+    assert sorted(os.listdir(out)) == sorted(names)
+
+
 def test_oracle_subcommand(capsys):
     assert main(["oracle", "--k", "0.5", "--alpha", "2", "--eps", "0.1"]) == 0
     rep = json.loads(capsys.readouterr().out)
@@ -186,7 +213,8 @@ def test_oracle_subcommand(capsys):
 def test_verify_subcommand_pass_and_fail(tmp_path, capsys):
     grid = GridSpec(128, 128, (-2.0, -2.0, 2.0, 2.0))
     path = tmp_path / "ball.csv"
-    save_domain(build_domain(grid, Ball(radius=1.0)), path)
+    with open(path, "w") as fh:
+        save_domain(build_domain(grid, Ball(radius=1.0)), fh)
     rc = main(["--quiet", "verify", "--domain", str(path),
                "--override", 'checks=["basic","radial_ball","symmetry_x"]'])
     assert rc == 0
@@ -194,7 +222,9 @@ def test_verify_subcommand_pass_and_fail(tmp_path, capsys):
     assert all(c["pass"] for c in out["checks"])
 
     off = tmp_path / "off.csv"
-    save_domain(build_domain(grid, Ball(center=(1.2, 0.0), radius=0.5)), off)
+    with open(off, "w") as fh:
+        save_domain(build_domain(grid, Ball(center=(1.2, 0.0), radius=0.5)),
+                    fh)
     rc = main(["--quiet", "verify", "--domain", str(off),
                "--override", 'checks=["basic"]'])
     assert rc == 1
@@ -267,7 +297,7 @@ def test_solve_failed_write_keeps_old_artifact(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("disk full")
 
-    monkeypatch.setattr(np, "savetxt", boom)
+    monkeypatch.setattr(domain, "write_csv", boom)
     with pytest.raises(RuntimeError, match="disk full"):
         main(["--quiet", "solve", "--out", str(out),
               "--override", "grid.nx=64", "--override", "grid.ny=64"])

@@ -1,5 +1,7 @@
 """Level-set domains: seeds, quadrature, boundary extraction, rearrangements."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,9 @@ from torsionshape import (Ball, Domain, Ellipse, GridSpec, Sublevel,
 from torsionshape import domain as domain_mod
 from torsionshape.domain import (Field, connected_components,
                                  random_starshaped_blob, reflect,
-                                 save_boundary)
+                                 save_boundary, write_csv)
 from torsionshape.errors import EmptyDomain, GridMismatch, NonFinite, OutOfBox
+from torsionshape.torsion import solve_torsion
 from torsionshape.weight import radial_weight
 
 BOX = (-2.0, -2.0, 2.0, 2.0)
@@ -281,7 +284,8 @@ def test_hausdorff_requires_matching_grid(grid64, grid128):
 def test_domain_roundtrip_csv(tmp_path, grid64):
     d = build_domain(grid64, Ball(radius=1.1))
     path = tmp_path / "domain.csv"
-    save_domain(d, path)
+    with open(path, "w") as fh:
+        save_domain(d, fh)
     d2 = load_domain(path)
     assert d2.grid.shape == d.grid.shape
     assert d2.grid.box == d.grid.box
@@ -291,9 +295,40 @@ def test_domain_roundtrip_csv(tmp_path, grid64):
 def test_boundary_csv_format(tmp_path, grid64):
     s = boundary_samples(build_domain(grid64, Ball(radius=1.0)))
     path = tmp_path / "boundary.csv"
-    save_boundary(s, path)
+    with open(path, "w") as fh:
+        save_boundary(s, fh)
     lines = path.read_text().splitlines()
     assert lines[0] == "x,y,nx,ny,ds"
     assert len(lines) == len(s) + 1
     row = np.loadtxt(path, delimiter=",", skiprows=1)
     assert row.shape == (len(s), 5)
+
+
+def _csv_arrays(grid):
+    d = random_starshaped_blob(grid, np.random.default_rng(3))
+    s = d.samples
+    rng = np.random.default_rng(0)
+    return {
+        "level-set": d.ls,
+        "field": solve_torsion(d).values,
+        "boundary": np.column_stack([s.points, s.normals, s.ds]),
+        "specials": np.array([[0.0, -0.0, 5e-324, -2.5e-310, 1.0],
+                              [1e308, -1e308, np.inf, -np.inf, -0.0],
+                              [np.nan, -np.nan, 0.0, 1.0, 2.0 ** -1074]]),
+        "all-distinct": rng.standard_normal((65, 65)),
+        "one-row": rng.standard_normal((1, 7)),
+        "one-column": np.array([[0.0], [-0.0], [0.0], [3.5]]),
+    }
+
+
+@pytest.mark.parametrize("name", ["level-set", "field", "boundary",
+                                  "specials", "all-distinct", "one-row",
+                                  "one-column"])
+def test_write_csv_matches_savetxt(grid64, name):
+    # the solve's artifacts keep np.savetxt's bytes; 0.0 and -0.0 are one
+    # value but two texts, so the writer must tell them apart by their bits
+    a = _csv_arrays(grid64)[name]
+    ref, out = io.StringIO(), io.StringIO()
+    np.savetxt(ref, a, delimiter=",")
+    write_csv(out, a)
+    assert out.getvalue() == ref.getvalue()
