@@ -123,6 +123,8 @@ def load_config(path, overrides=()):
         key, value = ov.split("=", 1)
         _apply_override(user, key, value)
     cfg = copy.deepcopy(_merge(DEFAULT_CONFIG, user))
+    if cfg["schema"] != 1:
+        raise ConfigParse(f"schema must be 1, got {cfg['schema']}")
     if not cfg["optimizer"]["tol_residual"] > 0:
         raise ConfigParse("optimizer.tol_residual must be positive")
     unknown = sorted(set(cfg["checks"]) - set(_CHECKS))
@@ -198,7 +200,14 @@ def cmd_solve(cfg, quiet):
 
 
 def cmd_oracle(args):
-    rep = oracle_mod.oracle_report(args.k, args.alpha, args.N, args.eps)
+    if args.N < 1:
+        raise ConfigParse(f"N must be at least 1, got {args.N}")
+    if not np.all(np.isfinite([args.k, args.alpha, args.eps or 0.0])):
+        raise ConfigParse("k, alpha and eps must be finite")
+    try:
+        rep = oracle_mod.oracle_report(args.k, args.alpha, args.N, args.eps)
+    except ValueError as e:
+        raise ConfigParse(f"bad oracle arguments: {e}") from e
     print(_dump_json(rep), end="")
     return EXIT_OK
 
@@ -224,21 +233,18 @@ def cmd_derivcheck(cfg):
     radii = cfg["radii"]
     if not all(R > delta for R in radii):
         raise ConfigParse(f"radii must exceed delta = {delta}, got {radii!r}")
+
+    def ball_field(radius):
+        return solve_torsion(build_domain(grid, Ball(radius=radius)))
+
     rows = []
     ok = True
     for R in radii:
-        def J_phi(radius):
-            d = build_domain(grid, Ball(radius=radius))
-            u = solve_torsion(d)
-            return energy_J(u), phi_constraint(w, d)
-
-        d = build_domain(grid, Ball(radius=R))
-        u = solve_torsion(d)
-        dJ, dphi = shape_derivative(u, w, 1.0)
-        Jp, pp = J_phi(R + delta)
-        Jm, pm = J_phi(R - delta)
-        fdJ = (Jp - Jm) / (2 * delta)
-        fdP = (pp - pm) / (2 * delta)
+        dJ, dphi = shape_derivative(ball_field(R), w, 1.0)
+        up, um = ball_field(R + delta), ball_field(R - delta)
+        fdJ = (energy_J(up) - energy_J(um)) / (2 * delta)
+        fdP = (phi_constraint(w, up.domain)
+               - phi_constraint(w, um.domain)) / (2 * delta)
         errJ = abs(dJ - fdJ) / abs(fdJ)
         errP = abs(dphi - fdP) / abs(fdP)
         ok = ok and errJ <= rtol and errP <= rtol
@@ -286,7 +292,6 @@ def cmd_sweep(cfg, quiet):
     text = "\n".join(out_lines) + "\n"
     out = cfg["out"]
     if out:
-        os.makedirs(out, exist_ok=True)
         _atomic_write(os.path.join(out, "sweep.csv"), text)
     if not quiet:
         print(text, end="")

@@ -60,6 +60,16 @@ class GridSpec:
         X, Y = np.meshgrid(self.xs, self.ys, indexing="ij")
         return np.stack([X, Y], axis=-1)
 
+    def cell(self, pts):
+        """(i, j, tx, ty): the cell of each point (..., 2), clamped to the
+        grid, and the point's fractions across it, in [0, 1)."""
+        x0, y0, _, _ = self.box
+        fx = np.clip((pts[..., 0] - x0) / self.h, 0.0, self.nx - 1e-12)
+        fy = np.clip((pts[..., 1] - y0) / self.h, 0.0, self.ny - 1e-12)
+        i = fx.astype(int)
+        j = fy.astype(int)
+        return i, j, fx - i, fy - j
+
 
 @dataclass(frozen=True, eq=False)
 class Domain:
@@ -198,15 +208,7 @@ def interp_bilinear(field, grid, pts):
     corners hold one value returns exactly that value: the clamped plateau
     of a redistanced ``ls`` stays flat under resampling.
     """
-    pts = np.asarray(pts, dtype=float)
-    x0, y0, _, _ = grid.box
-    h = grid.h
-    fx = np.clip((pts[..., 0] - x0) / h, 0.0, grid.nx - 1e-12)
-    fy = np.clip((pts[..., 1] - y0) / h, 0.0, grid.ny - 1e-12)
-    i = fx.astype(int)
-    j = fy.astype(int)
-    tx = fx - i
-    ty = fy - j
+    i, j, tx, ty = grid.cell(np.asarray(pts, dtype=float))
     f = field
     lo = f[i, j] + tx * (f[i + 1, j] - f[i, j])
     hi = f[i, j + 1] + tx * (f[i + 1, j + 1] - f[i, j + 1])

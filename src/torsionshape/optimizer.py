@@ -114,13 +114,7 @@ def _extend_velocity(grid, samples, vn_samples):
     dt = CFL h / max|vn| still moves the front at most CFL h.
     """
     h = grid.h
-    x0, y0, _, _ = grid.box
-    fx = (samples.points[:, 0] - x0) / h
-    fy = (samples.points[:, 1] - y0) / h
-    i = fx.astype(int)
-    j = fy.astype(int)
-    tx = fx - i
-    ty = fy - j
+    i, j, tx, ty = grid.cell(samples.points)
     m = vn_samples * samples.ds / h ** 2
     ny1 = grid.shape[1]
     nodes = np.concatenate([i * ny1 + j, (i + 1) * ny1 + j,
@@ -205,7 +199,6 @@ def _flow(w, init, records):
     d, _ = rescale_to_constraint(init, w)
     if not d.is_signed_distance:
         d = reinitialize(d)
-    obj_prev = None
     step_scale = 1.0
     stall_count = 0
     reason = "max_iters"
@@ -230,17 +223,12 @@ def _flow(w, init, records):
         if res_l2 <= C_L2 * h:
             reason = "converged"
             break
-        if obj_prev is not None and abs(obj_prev - obj) < TOL_OBJECTIVE * abs(obj):
-            stall_count += 1
-            if stall_count >= 3:
-                reason = "stalled"
-                break
-        else:
-            stall_count = 0
+        if stall_count >= 3:
+            reason = "stalled"
+            break
         if vmax < 1e-12:
             reason = "stationary"
             break
-        obj_prev = obj
 
         vn_ext = _extend_velocity(grid, s, vn)
         # every iteration that gets here accepts a step or ends the flow, so
@@ -261,6 +249,8 @@ def _flow(w, init, records):
             reason = "stalled"
             break
         step_scale = min(1.0, step_scale * 1.5)
+        stalled = abs(obj - obj_new) < TOL_OBJECTIVE * abs(obj_new)
+        stall_count = stall_count + 1 if stalled else 0
         d, u, obj = d_new, u_new, obj_new
         mu = estimate_multiplier(u, w)
     return d, mu, reason

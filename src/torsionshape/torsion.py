@@ -158,12 +158,19 @@ def _pcg(A, x, r, mg, tol, maxiter):
 
     Updates x in place and stops once the recursive residual has
     ||r|| <= tol, on breakdown, or after maxiter steps; returns the steps.
+    The stop is tested before each V-cycle, so none runs unread.
     """
-    z = _vcycle(mg, r)
-    p = z.copy()
-    rz = np.dot(r, z)
+    p = rz = None
     it = 0
     while np.sqrt(np.dot(r, r)) > tol and it < maxiter:
+        z = _vcycle(mg, r)
+        rz_new = np.dot(r, z)
+        if p is None:
+            p = z
+        else:
+            p *= rz_new / rz
+            p += z
+        rz = rz_new
         q = A @ p
         denom = np.dot(p, q)
         if denom <= 0.0:
@@ -171,11 +178,6 @@ def _pcg(A, x, r, mg, tol, maxiter):
         alpha = rz / denom
         x += alpha * p
         r -= alpha * q
-        z = _vcycle(mg, r)
-        rz_new = np.dot(r, z)
-        p *= rz_new / rz
-        p += z
-        rz = rz_new
         it += 1
     return it
 
@@ -256,11 +258,9 @@ def boundary_gradient(u):
     grid = d.grid
     h = grid.h
     s = d.samples
-    x0, y0, _, _ = grid.box
     depth = np.arange(1, 6) * h
     q = s.points - depth[:, None, None] * s.normals   # (5, n, 2)
-    i = np.clip(((q[..., 0] - x0) / h).astype(int), 0, grid.nx - 1)
-    j = np.clip(((q[..., 1] - y0) / h).astype(int), 0, grid.ny - 1)
+    i, j, _, _ = grid.cell(q)
     inside = d.ls < 0
     corners_in = (inside[i, j] & inside[i + 1, j]
                   & inside[i, j + 1] & inside[i + 1, j + 1])

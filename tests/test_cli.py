@@ -80,7 +80,7 @@ def test_unknown_check_exits_2(tmp_path):
     'weight.profile={"type":"radial","k":0.5,"p":4}', "grid.nxx=64",
     "checks=[]", "grid.nx=32.5", "weight.profile.k=0.7",
     'weight.profile={"type":"fourier"}',
-    'weight.profile={"type":"fourier","a":[],"b":[]}'])
+    'weight.profile={"type":"fourier","a":[],"b":[]}', "schema=7", "schema=0"])
 def test_bad_config_value_exits_2(tmp_path, capsys, override):
     # the case comes last, so the 32² grid cannot overwrite it
     rc = main(["--quiet", "solve", "--out", str(tmp_path / "o"),
@@ -92,7 +92,8 @@ def test_bad_config_value_exits_2(tmp_path, capsys, override):
     expected = {"weight.profile.k=0.7": "lacks key 'type'; it is taken whole",
                 'weight.profile={"type":"fourier"}': "needs keys ['a', 'b']",
                 'weight.profile={"type":"fourier","a":[],"b":[]}':
-                    "bad weight spec: fourier profile needs a constant term a[0]"}
+                    "bad weight spec: fourier profile needs a constant term a[0]",
+                "schema=7": "schema must be 1, got 7"}
     assert expected.get(override, "") in err["message"]
 
 
@@ -208,6 +209,17 @@ def test_oracle_subcommand(capsys):
     assert rep["r_eps"] == pytest.approx(0.9)
     assert rep["R_eps"] == pytest.approx(1.1)
     assert rep["radius"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("args", [["--k", "-1"], ["--eps", "0"], ["--N", "0"],
+                                  ["--alpha", "-1"], ["--N", "-2"],
+                                  ["--k", "nan"], ["--alpha", "nan"],
+                                  ["--eps", "nan"], ["--k", "inf"]],
+                         ids="=".join)
+def test_oracle_bad_arguments_exit_2(capsys, args):
+    # argparse keeps an option's last value, so the case overrides the default
+    assert main(["oracle", "--k", "0.5", "--alpha", "2.5", *args]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
 def test_verify_subcommand_pass_and_fail(tmp_path, capsys):

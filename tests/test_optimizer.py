@@ -1,5 +1,7 @@
 """Gradient flow: projection, derivatives, multiplier, rescale, convergence."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -320,6 +322,38 @@ def test_optimize_rejects_a_step_into_the_margin(grid64, monkeypatch):
     init = build_domain(grid64, Ellipse(1.3, 0.7))
     with pytest.raises(OutOfBox):
         optimize(radial_weight(0.5, 2.0), init)
+
+
+def test_optimize_stalls_on_a_constant_objective(grid64, monkeypatch):
+    # every trial is accepted and none changes the objective, so the level
+    # ends stalled at the record after the third such step
+    monkeypatch.setattr(optimizer, "objective_scale_invariant",
+                        lambda w, u: -1.0)
+    trace = optimize(radial_weight(0.5, 2.0),
+                     build_domain(grid64, Ellipse(1.3, 0.7)))
+    assert trace.reason == "stalled"
+    assert len(trace.records) == 4
+
+
+def test_optimize_stalls_after_five_rejected_trials(grid64, monkeypatch):
+    # an objective that rises on every call rejects every trial; each
+    # rejection halves dt, and the fifth ends the level
+    values = itertools.count()
+    monkeypatch.setattr(optimizer, "objective_scale_invariant",
+                        lambda w, u: float(next(values)))
+    dts = []
+    advect = kernels.advect_step
+
+    def counted(ls, vn, h, dt):
+        dts.append(dt)
+        return advect(ls, vn, h, dt)
+
+    monkeypatch.setattr(kernels, "advect_step", counted)
+    trace = optimize(radial_weight(0.5, 2.0),
+                     build_domain(grid64, Ellipse(1.3, 0.7)))
+    assert trace.reason == "stalled"
+    assert len(trace.records) == 1
+    assert dts == [trace.records[0]["dt"] / 2 ** k for k in range(5)]
 
 
 @pytest.mark.parametrize("run", ["fourier03_run", "pnorm_run"])
