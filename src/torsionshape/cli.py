@@ -16,8 +16,7 @@ from .domain import (Ball, GridSpec, Sublevel, atomic_open, build_domain,
 from .errors import (BadDegree, ConfigParse, NonPositiveProfile,
                      TorsionShapeError)
 from .optimizer import optimize, shape_derivative
-from .torsion import (energy_J, objective_scale_invariant, phi_constraint,
-                      residual_fbp, solve_torsion)
+from .torsion import energy_J, phi_constraint, residual_fbp, solve_torsion
 from .verify import (check_basic, check_convex, check_radial_ball,
                      check_sandwich, check_scaling_laws, check_starshaped,
                      check_symmetry)
@@ -165,12 +164,13 @@ def cmd_solve(cfg, quiet):
     # write, so a failed solve leaves the previous output set untouched
     res_sup, res_l2 = residual_fbp(u, w, 1.0)
     reports = _run_checks(cfg["checks"], d, w, g1=g1, u=u)
+    J, phi = energy_J(u), phi_constraint(w, d)
     report = {
         "schema": 1,
         "config": cfg,
-        "J": energy_J(u),
-        "phi": phi_constraint(w, d),
-        "objective": objective_scale_invariant(w, u),
+        "J": J,
+        "phi": phi,
+        "objective": oracle_mod.scale_invariant_objective(J, phi, w.alpha),
         "residual_sup": res_sup,
         "residual_l2": res_l2,
         "rescale_factor": trace.final_rescale,
@@ -257,11 +257,17 @@ def cmd_derivcheck(cfg):
 
 def cmd_sweep(cfg, quiet):
     k, alpha = cfg["sweep"]["k"], cfg["sweep"]["alpha"]
+    epss = cfg["sweep"]["eps"]
+    # eps = 0 is the radial row; a negative eps would be fitted as signed
+    # against widths even in eps, and a repeated one makes the fit singular
+    if not all(eps >= 0 for eps in epss) or len(set(epss)) < len(epss):
+        raise ConfigParse("sweep.eps must be distinct and non-negative, "
+                          f"got {epss!r}")
     grid = _grid_from_spec(cfg["grid"])
     h = grid.h
     rows = []
     ok = True
-    for eps in cfg["sweep"]["eps"]:
+    for eps in epss:
         spec = {"alpha": alpha,
                 "profile": {"type": "fourier", "a": [k, 0.0, k * eps],
                             "b": []}}

@@ -10,9 +10,8 @@ from .domain import (Domain, Field, GridSpec, build_domain, interp_bilinear,
                      reinitialize, scale_domain)
 from .errors import (AlphaOne, BadMultiplier, DegenerateWeight, EmptyDomain,
                      OutOfBox)
-from .oracle import multiplier_rescale, phi_degree
-from .torsion import (energy_J, objective_scale_invariant, phi_constraint,
-                      residual_fbp, solve_torsion)
+from .oracle import multiplier_rescale, phi_degree, scale_invariant_objective
+from .torsion import energy_J, phi_constraint, residual_fbp, solve_torsion
 from .weight import eval_weight
 
 MAX_ITERS = 200
@@ -204,11 +203,10 @@ def _flow(w, init, records):
     reason = "max_iters"
     u = solve_torsion(d)
     mu = estimate_multiplier(u, w)
-    obj = objective_scale_invariant(w, u)
+    J, phi = energy_J(u), phi_constraint(w, d)
+    obj = scale_invariant_objective(J, phi, w.alpha)
 
     for it in range(MAX_ITERS):
-        J = energy_J(u)
-        phi = phi_constraint(w, d)
         res_sup, res_l2 = residual_fbp(u, w, np.sqrt(-2.0 * mu))
         s = d.samples
         grad, valid = u.gradient
@@ -226,9 +224,6 @@ def _flow(w, init, records):
         if stall_count >= 3:
             reason = "stalled"
             break
-        if vmax < 1e-12:
-            reason = "stationary"
-            break
 
         vn_ext = _extend_velocity(grid, s, vn)
         # every iteration that gets here accepts a step or ends the flow, so
@@ -240,7 +235,8 @@ def _flow(w, init, records):
             if (it + 1) % REINIT_EVERY == 0:
                 d_new = reinitialize(d_new)
             u_new = solve_torsion(d_new)
-            obj_new = objective_scale_invariant(w, u_new)
+            J_new, phi_new = energy_J(u_new), phi_constraint(w, d_new)
+            obj_new = scale_invariant_objective(J_new, phi_new, w.alpha)
             if obj_new <= obj + 1e-6 * abs(obj):
                 break
             dt *= 0.5
@@ -251,6 +247,6 @@ def _flow(w, init, records):
         step_scale = min(1.0, step_scale * 1.5)
         stalled = abs(obj - obj_new) < TOL_OBJECTIVE * abs(obj_new)
         stall_count = stall_count + 1 if stalled else 0
-        d, u, obj = d_new, u_new, obj_new
+        d, u, J, phi, obj = d_new, u_new, J_new, phi_new, obj_new
         mu = estimate_multiplier(u, w)
     return d, mu, reason

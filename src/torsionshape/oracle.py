@@ -1,4 +1,4 @@
-"""Closed-form radial answers: ball solutions, stability radii, sandwich bounds."""
+"""Closed forms: ball solutions, stability radii, sandwich bounds, objective."""
 
 import math
 
@@ -32,18 +32,6 @@ def fbp_radius(k, alpha, N=2):
     return (k * N) ** (-1.0 / (alpha - 1.0))
 
 
-def ball_fields(R, N, x):
-    """(u(x), boundary |grad u|) for the ball of radius R.
-
-    u = max(0, (R^2 - |x|^2)) / (2N); the boundary gradient is R/N.
-    """
-    if R <= 0:
-        raise ValueError("R must be positive")
-    r2 = x[0] ** 2 + x[1] ** 2 if not hasattr(x, "ndim") else float((x ** 2).sum())
-    u = max(0.0, (R * R - r2)) / (2.0 * N)
-    return u, R / N
-
-
 def ball_energy_phi(R, k, alpha, N=2):
     """(J, phi) for the ball of radius R under the radial weight k r^alpha."""
     if R <= 0 or k <= 0:
@@ -57,32 +45,30 @@ def ball_energy_phi(R, k, alpha, N=2):
 
 
 def stability_radii(k, alpha, N, eps, mode="sup"):
-    """Bracketing radii (r, R) for near-radial weights.
+    """Bracketing radii (r, R) for near-radial weights, as fbp_radius of a bound.
 
     mode "sup": relative band g in [h(1-eps), h(1+eps)] with h = k r^alpha:
-    r = ((1-eps)/(kN))^(1/(alpha-1)), R = ((1+eps)/(kN))^(1/(alpha-1)).
+    r = fbp_radius(k/(1-eps)), R = fbp_radius(k/(1+eps)).
     mode "hom": additive band |g - h| <= eps r^alpha:
-    r = (N(k+eps))^(-1/(alpha-1)), R = (N(k-eps))^(-1/(alpha-1)).
+    r = fbp_radius(k+eps), R = fbp_radius(k-eps).
     """
-    if alpha == 1:
-        raise AlphaOne("alpha = 1: no solution or infinitely many")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    e = 1.0 / (alpha - 1.0)
     if mode == "sup":
         if eps >= 1:
             raise EpsTooLarge("sup mode needs eps < 1")
-        return ((1.0 - eps) / (k * N)) ** e, ((1.0 + eps) / (k * N)) ** e
+        return (fbp_radius(k / (1.0 - eps), alpha, N),
+                fbp_radius(k / (1.0 + eps), alpha, N))
     if mode == "hom":
         if eps >= k:
             raise EpsTooLarge("hom mode needs eps < k")
-        return (N * (k + eps)) ** -e, (N * (k - eps)) ** -e
+        return fbp_radius(k + eps, alpha, N), fbp_radius(k - eps, alpha, N)
     raise ValueError(f"unknown mode {mode!r}")
 
 
 def width_slope(k, alpha, N=2):
     """Leading-order d(R_eps - r_eps)/d eps of the sup-mode bracket."""
-    return 2.0 / ((alpha - 1.0) * (N * k) ** (1.0 / (alpha - 1.0)))
+    return 2.0 * fbp_radius(k, alpha, N) / (alpha - 1.0)
 
 
 def response_modes(k, alpha, a, b):
@@ -132,9 +118,15 @@ def sandwich_radial(k, alpha, N=2):
     rho = k ** (-1.0 / alpha)
     A = rho / N
     inner = A ** (1.0 / (alpha - 1.0)) * rho
-    expected = fbp_radius(k, alpha, N)
-    assert abs(inner - expected) <= 1e-12 * expected
     return A, A, inner, inner
+
+
+def scale_invariant_objective(J, phi, alpha):
+    """phi^(-(N+2)/phi_degree) J, N = 2: invariant under x -> t x.
+
+    J scales by t^(N+2) and phi by t^phi_degree(alpha).
+    """
+    return float(phi ** (-4.0 / phi_degree(alpha)) * J)
 
 
 def multiplier_rescale(mu, alpha):

@@ -9,7 +9,7 @@ from scipy.sparse import csr_matrix
 
 from .domain import interp_bilinear
 from .errors import SolverDiverged, StarvedBoundary
-from .oracle import phi_degree
+from .oracle import scale_invariant_objective
 from .weight import eval_weight
 
 THETA_MIN = 1e-2     # cut-cell fraction clamp, keeps the system well conditioned
@@ -298,8 +298,6 @@ def residual_fbp(u, w, c):
 
 
 def objective_scale_invariant(w, u):
-    """phi^(-(N+2)/phi_degree) * J on u's domain, N = 2; homothety invariant."""
-    J = energy_J(u)
-    phi = phi_constraint(w, u.domain)
-    expo = 4.0 / phi_degree(w.alpha)
-    return float(phi ** (-expo) * J)
+    """oracle.scale_invariant_objective of J and phi on u's domain."""
+    return scale_invariant_objective(energy_J(u), phi_constraint(w, u.domain),
+                                     w.alpha)

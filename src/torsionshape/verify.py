@@ -137,8 +137,8 @@ def check_symmetry(d, axis):
     """Hausdorff distance to the mirror image about ``axis``, within 2h."""
     tol = 2 * d.grid.h
     dist = hausdorff_distance(d, reflect(d, axis))
-    return CheckReport("symmetry", bool(dist <= tol), measured=dist, tol=tol,
-                       witness={"axis": axis})
+    return CheckReport(f"symmetry_{'xy'[axis]}", bool(dist <= tol),
+                       measured=dist, tol=tol, witness={"axis": axis})
 
 
 def check_radial_ball(d):

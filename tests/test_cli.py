@@ -106,8 +106,16 @@ def test_sweep_non_numeric_eps_exits_2(tmp_path, capsys, eps):
     assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
-@pytest.mark.parametrize("override", ["sweep.esp=[0.1]", "sweep.k=-1"])
-def test_sweep_bad_config_exits_2(tmp_path, capsys, override):
+@pytest.mark.parametrize("override", ["sweep.esp=[0.1]", "sweep.k=-1",
+                                      "sweep.eps=[-0.1]", "sweep.eps=[0.1,0.1]",
+                                      "sweep.eps=[0.05,-0.05]"])
+def test_sweep_bad_config_exits_2(tmp_path, capsys, monkeypatch, override):
+    # rejected before any flow: a negative eps would be fitted as signed
+    # against widths even in eps, and a repeated one makes the fit singular
+    def no_flow(w, init):
+        raise AssertionError("sweep ran a flow")
+
+    monkeypatch.setattr(cli, "optimize", no_flow)
     rc = main(["--quiet", "sweep", "--out", str(tmp_path / "o"),
                "--override", override,
                "--override", "grid.nx=32", "--override", "grid.ny=32"])
@@ -227,11 +235,14 @@ def test_verify_subcommand_pass_and_fail(tmp_path, capsys):
     path = tmp_path / "ball.csv"
     with open(path, "w") as fh:
         save_domain(build_domain(grid, Ball(radius=1.0)), fh)
+    checks = ["basic", "radial_ball", "symmetry_x", "symmetry_y"]
     rc = main(["--quiet", "verify", "--domain", str(path),
-               "--override", 'checks=["basic","radial_ball","symmetry_x"]'])
+               "--override", "checks=" + json.dumps(checks)])
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert all(c["pass"] for c in out["checks"])
+    # each report carries its check's name, so keyed by name none collide
+    assert [c["name"] for c in out["checks"]] == checks
 
     off = tmp_path / "off.csv"
     with open(off, "w") as fh:

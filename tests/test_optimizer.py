@@ -327,8 +327,8 @@ def test_optimize_rejects_a_step_into_the_margin(grid64, monkeypatch):
 def test_optimize_stalls_on_a_constant_objective(grid64, monkeypatch):
     # every trial is accepted and none changes the objective, so the level
     # ends stalled at the record after the third such step
-    monkeypatch.setattr(optimizer, "objective_scale_invariant",
-                        lambda w, u: -1.0)
+    monkeypatch.setattr(optimizer, "scale_invariant_objective",
+                        lambda J, phi, alpha: -1.0)
     trace = optimize(radial_weight(0.5, 2.0),
                      build_domain(grid64, Ellipse(1.3, 0.7)))
     assert trace.reason == "stalled"
@@ -339,8 +339,8 @@ def test_optimize_stalls_after_five_rejected_trials(grid64, monkeypatch):
     # an objective that rises on every call rejects every trial; each
     # rejection halves dt, and the fifth ends the level
     values = itertools.count()
-    monkeypatch.setattr(optimizer, "objective_scale_invariant",
-                        lambda w, u: float(next(values)))
+    monkeypatch.setattr(optimizer, "scale_invariant_objective",
+                        lambda J, phi, alpha: float(next(values)))
     dts = []
     advect = kernels.advect_step
 

@@ -17,17 +17,6 @@ def test_fbp_radius_rejects_alpha_one():
         oracle.fbp_radius(0.5, 1.0, 2)
 
 
-def test_ball_fields():
-    u, g = oracle.ball_fields(1.0, 2, np.array([0.0, 0.0]))
-    assert u == pytest.approx(0.25)
-    assert g == pytest.approx(0.5)
-    u, _ = oracle.ball_fields(1.0, 2, np.array([1.0, 0.0]))
-    assert u == 0.0
-    u, g = oracle.ball_fields(2.0, 3, np.array([0.0, 0.0]))
-    assert u == pytest.approx(4.0 / 6.0)
-    assert g == pytest.approx(2.0 / 3.0)
-
-
 def test_ball_energy_phi_values():
     J, _ = oracle.ball_energy_phi(1.0, 1.0, 2.0, 2)
     assert J == pytest.approx(-np.pi / 16.0)
@@ -97,6 +86,8 @@ def test_width_slope_matches_small_eps_fit():
                   for e in eps]
         slope = np.polyfit(eps, widths, 1)[0]
         assert slope == pytest.approx(oracle.width_slope(k, alpha, 2), rel=1e-2)
+    with pytest.raises(AlphaOne):
+        oracle.width_slope(0.5, 1.0)
 
 
 def test_response_width_slope_values():
@@ -131,7 +122,21 @@ def test_sandwich_radial_values():
     A, B, inner, outer = oracle.sandwich_radial(1.0, 2.0, 2)
     assert A == pytest.approx(0.5)
     assert inner == pytest.approx(0.5)
-    assert inner == pytest.approx(oracle.fbp_radius(1.0, 2.0, 2))
+    # the sandwich is tight: A^(1/(alpha-1)) rho is the ball's radius
+    for k, alpha, N in ((0.5, 2.0, 2), (1.0, 2.0, 2), (1.0, 3.0, 2),
+                        (0.7, 2.5, 2), (0.5, 2.0, 3), (2.0, 2.5, 3)):
+        _, _, inner, outer = oracle.sandwich_radial(k, alpha, N)
+        assert inner == outer == pytest.approx(oracle.fbp_radius(k, alpha, N),
+                                               rel=1e-12)
+
+
+def test_scale_invariant_objective_is_homothety_invariant():
+    for k, alpha in ((0.5, 2.0), (1.0, 3.0), (0.7, 2.5)):
+        objs = [oracle.scale_invariant_objective(
+                    *oracle.ball_energy_phi(R, k, alpha), alpha)
+                for R in (0.5, 1.0, 3.0)]
+        assert objs == pytest.approx([objs[0]] * 3, rel=1e-12)
+        assert objs[0] < 0.0
 
 
 def test_multiplier_rescale():
