@@ -13,7 +13,7 @@ import numpy as np
 from . import oracle as oracle_mod
 from .domain import (Ball, GridSpec, Sublevel, atomic_open, build_domain,
                      load_domain, save_boundary, save_domain, write_csv)
-from .errors import (BadDegree, ConfigParse, NonPositiveProfile,
+from .errors import (BadDegree, ConfigParse, EpsTooLarge, NonPositiveProfile,
                      TorsionShapeError)
 from .optimizer import optimize, shape_derivative
 from .torsion import energy_J, phi_constraint, residual_fbp, solve_torsion
@@ -148,6 +148,15 @@ def _weight_from_spec(spec):
         raise ConfigParse(f"bad weight spec: {e}") from e
 
 
+def _check_symmetry_boxes(names, grid):
+    """A symmetry check mirrors the domain's nodes, so its axis must be one
+    the box is symmetric about; a run refuses the check before it starts."""
+    for axis, name in enumerate(("symmetry_x", "symmetry_y")):
+        if name in names and not grid.symmetric(axis):
+            raise ConfigParse(f"check {name} needs a box symmetric about "
+                              f"{'xy'[axis]} = 0, got {list(grid.box)}")
+
+
 def _run_checks(names, d, w, g1=None, u=None):
     return [_CHECKS[name](d, w, g1, u) for name in names]
 
@@ -156,6 +165,7 @@ def cmd_solve(cfg, quiet):
     w = _weight_from_spec(cfg["weight"])
     grid = _grid_from_spec(cfg["grid"])
     tol_residual = cfg["optimizer"]["tol_residual"]
+    _check_symmetry_boxes(cfg["checks"], grid)
     g1 = build_domain(grid, Sublevel(w, 1.0))
     trace = optimize(w, g1)
     d = trace.final_domain
@@ -206,7 +216,7 @@ def cmd_oracle(args):
         raise ConfigParse("k, alpha and eps must be finite")
     try:
         rep = oracle_mod.oracle_report(args.k, args.alpha, args.N, args.eps)
-    except ValueError as e:
+    except (ValueError, EpsTooLarge) as e:
         raise ConfigParse(f"bad oracle arguments: {e}") from e
     print(_dump_json(rep), end="")
     return EXIT_OK
@@ -218,6 +228,7 @@ def cmd_verify(cfg, domain_path):
         d = load_domain(domain_path)
     except (OSError, ValueError, IndexError, TorsionShapeError) as e:
         raise ConfigParse(f"cannot read domain {domain_path}: {e}") from e
+    _check_symmetry_boxes(cfg["checks"], d.grid)
     reports = _run_checks(cfg["checks"], d, w)
     out = {"schema": 1, "checks": [r.to_json() for r in reports]}
     print(_dump_json(out), end="")
@@ -265,13 +276,12 @@ def cmd_sweep(cfg, quiet):
                           f"got {epss!r}")
     grid = _grid_from_spec(cfg["grid"])
     h = grid.h
+    # every weight is built, and so checked, before the first flow runs
+    weights = [_weight_from_spec({"alpha": alpha, "profile": {
+        "type": "fourier", "a": [k, 0.0, k * eps], "b": []}}) for eps in epss]
     rows = []
     ok = True
-    for eps in epss:
-        spec = {"alpha": alpha,
-                "profile": {"type": "fourier", "a": [k, 0.0, k * eps],
-                            "b": []}}
-        w = _weight_from_spec(spec)
+    for eps, w in zip(epss, weights):
         init = build_domain(grid, Sublevel(w, 1.0))
         trace = optimize(w, init)
         s = trace.final_domain.samples

@@ -70,6 +70,13 @@ class GridSpec:
         j = fy.astype(int)
         return i, j, fx - i, fy - j
 
+    def symmetric(self, axis):
+        """Whether the box is symmetric about the hyperplane x_axis = 0, so
+        that mirroring the nodes across it maps the grid onto itself."""
+        x0, y0, x1, y1 = self.box
+        lo, hi = (y0, y1) if axis == 1 else (x0, x1)
+        return abs(lo + hi) <= 1e-9 * (hi - lo)
+
 
 @dataclass(frozen=True, eq=False)
 class Domain:
@@ -132,10 +139,6 @@ class BoundarySamples:
 
     def __len__(self):
         return len(self.ds)
-
-    @property
-    def perimeter(self):
-        return float(np.sum(self.ds))
 
 
 # --- seeds -----------------------------------------------------------------
@@ -300,43 +303,9 @@ def scale_domain(d, t):
     return Domain(grid, ls, is_signed_distance=d.is_signed_distance)
 
 
-def steiner_symmetrize(d, axis):
-    """Recenter, per grid column, the inside length about the hyperplane x_axis=0.
-
-    Column lengths come from the same cut-cell areas as ``volume`` (cell-column
-    area / h, averaged onto node lines), so the rearrangement preserves the
-    measured volume up to round-off.
-    """
-    grid = d.grid
-    h = grid.h
-    areas, _, _ = kernels.cell_geometry(d.ls, h)
-    col = np.sum(areas, axis=1 if axis == 1 else 0) / h
-    coords = grid.ys if axis == 1 else grid.xs
-    lengths = np.zeros(len(col) + 1)
-    lengths[1:-1] = 0.5 * (col[:-1] + col[1:])
-    lengths[0] = 0.5 * col[0]
-    lengths[-1] = 0.5 * col[-1]
-    new = np.abs(coords)[None, :] - 0.5 * lengths[:, None]
-    new = np.where(lengths[:, None] > 0.0, new, np.abs(coords)[None, :] + h)
-    out = new if axis == 1 else new.T
-    # the tent field |coord| - L/2 is itself a valid level set; skipping a
-    # reinitialization keeps the per-column volume exact
-    return Domain(grid, out)
-
-
-def schwarz_symmetrize(d):
-    """Origin-centered ball of the same volume, exact signed distance."""
-    r = np.sqrt(volume(d) / np.pi)
-    pts = d.grid.nodes()
-    ls = np.hypot(pts[..., 0], pts[..., 1]) - r
-    return Domain(d.grid, ls, is_signed_distance=True)
-
-
 def reflect(d, axis):
     """Mirror image about the hyperplane x_axis = 0 (box must be symmetric)."""
-    x0, y0, x1, y1 = d.grid.box
-    lo, hi = (y0, y1) if axis == 1 else (x0, x1)
-    if abs(lo + hi) > 1e-9 * (hi - lo):
+    if not d.grid.symmetric(axis):
         raise GridMismatch("reflection needs a box symmetric about the axis")
     ls = d.ls[:, ::-1] if axis == 1 else d.ls[::-1, :]
     return Domain(d.grid, np.ascontiguousarray(ls),
@@ -360,19 +329,6 @@ def connected_components(d):
     """Number of 4-connected components of the inside node set."""
     labels, n = ndimage.label(d.ls < 0.0)
     return int(n)
-
-
-def random_starshaped_blob(grid, rng, r0=1.0, amp=0.25, n_modes=4):
-    """Random smooth starshaped domain r(theta) = r0 (1 + sum of Fourier bumps)."""
-    coef = rng.uniform(-amp, amp, size=(2, n_modes)) / np.arange(1, n_modes + 1)
-    pts = grid.nodes()
-    r = np.hypot(pts[..., 0], pts[..., 1])
-    theta = np.arctan2(pts[..., 1], pts[..., 0])
-    rb = np.ones_like(theta)
-    for m in range(1, n_modes + 1):
-        rb += coef[0, m - 1] * np.cos(m * theta) + coef[1, m - 1] * np.sin(m * theta)
-    ls = r - r0 * np.maximum(rb, 0.2)
-    return reinitialize(Domain(grid, ls))
 
 
 # --- serialization ----------------------------------------------------------

@@ -8,7 +8,7 @@ from scipy.spatial import ConvexHull
 from .domain import (Sublevel, build_domain, connected_components,
                      hausdorff_distance, interp_bilinear, reflect,
                      scale_domain)
-from .errors import AlphaOne, GridMismatch
+from .errors import AlphaOne
 from .oracle import phi_degree
 from .torsion import energy_J, phi_constraint, solve_torsion
 from .weight import sublevel_radius
@@ -149,20 +149,6 @@ def check_radial_ball(d):
     return CheckReport("radial_ball", bool(spread <= tol), measured=spread,
                        tol=tol, witness={"r_min": float(np.min(r)),
                                          "r_max": float(np.max(r))})
-
-
-def check_inclusion(inner, outer, slack=None):
-    """Every inside node of `inner` must be inside `outer` up to a boundary band."""
-    if inner.grid.shape != outer.grid.shape or inner.grid.box != outer.grid.box:
-        raise GridMismatch("domains must share a grid")
-    slack = 2 * inner.grid.h if slack is None else slack
-    # a Domain has an inside node, so the maximum is over a non-empty set
-    outer_ls = np.where(inner.ls < 0.0, outer.ls, -np.inf)
-    idx = np.unravel_index(np.argmax(outer_ls), outer_ls.shape)
-    measured = max(float(outer_ls[idx]), 0.0)
-    return CheckReport("inclusion", bool(measured <= slack), measured=measured,
-                       tol=slack,
-                       witness={"point": inner.grid.nodes()[idx].tolist()})
 
 
 def check_scaling_laws(d, w, t, u=None):

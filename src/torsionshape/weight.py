@@ -7,8 +7,6 @@ import numpy as np
 from .errors import BadDegree, BadLevel, NonPositiveProfile
 
 _N_VALIDATE = 4096
-_N_QUASICONVEX = 10000  # random pairs that check_quasiconvex tests
-_TOL_QUASICONVEX = 1e-9
 _PROFILE_KEYS = {"radial": {"k"}, "fourier": {"a", "b"}, "pnorm": {"p", "a", "b"}}
 
 
@@ -26,23 +24,20 @@ class Weight:
 
     def profile(self, theta):
         theta = np.asarray(theta, dtype=float)
-        if self.kind == "radial":
-            return np.full_like(theta, self.params["k"], dtype=float)
-        if self.kind == "fourier":
-            a = self.params["a"]
-            b = self.params["b"]
-            out = np.full_like(theta, a[0], dtype=float)
-            for m in range(1, len(a)):
-                out += a[m] * np.cos(m * theta)
-            for m in range(1, len(b)):
-                out += b[m] * np.sin(m * theta)
-            return out
-        # pnorm: ((|cos|/a)^p + (|sin|/b)^p)^(alpha/p)
-        p = self.params["p"]
         a = self.params["a"]
         b = self.params["b"]
-        base = (np.abs(np.cos(theta)) / a) ** p + (np.abs(np.sin(theta)) / b) ** p
-        return base ** (self.alpha / p)
+        if self.kind == "pnorm":
+            # ((|cos|/a)^p + (|sin|/b)^p)^(alpha/p)
+            p = self.params["p"]
+            base = (np.abs(np.cos(theta)) / a) ** p + (np.abs(np.sin(theta)) / b) ** p
+            return base ** (self.alpha / p)
+        # Fourier, and radial as its one-term case
+        out = np.full_like(theta, a[0], dtype=float)
+        for m in range(1, len(a)):
+            out += a[m] * np.cos(m * theta)
+        for m in range(1, len(b)):
+            out += b[m] * np.sin(m * theta)
+        return out
 
 
 def make_weight(spec):
@@ -65,8 +60,8 @@ def make_weight(spec):
     missing = sorted(_PROFILE_KEYS[kind] - set(prof))
     if missing:
         raise ValueError(f"{kind} profile needs keys {missing}")
-    if kind == "radial":
-        params = {"k": float(prof["k"])}
+    if kind == "radial":  # the Fourier profile with a[0] = k alone
+        params = {"a": np.array([float(prof["k"])]), "b": np.zeros(1)}
     elif kind == "fourier":
         a = np.atleast_1d(np.asarray(prof["a"], dtype=float))
         if a.size == 0:
@@ -117,26 +112,4 @@ def sublevel_radius(w, t, theta):
     if r.ndim == 0:
         return float(r)
     return r
-
-
-def check_quasiconvex(w):
-    """Midpoint convexity test of g^(1/alpha) on random pairs in an annulus.
-
-    Returns a report dict: pass flag, worst signed violation and the
-    witnessing pair.  Positive violation means convexity fails there.
-    """
-    rng = np.random.default_rng(0)
-    theta = rng.uniform(0.0, 2.0 * np.pi, size=(2, _N_QUASICONVEX))
-    rad = rng.uniform(0.5, 1.5, size=(2, _N_QUASICONVEX))
-    x = np.stack([rad * np.cos(theta), rad * np.sin(theta)], axis=-1)
-    f = eval_weight(w, x) ** (1.0 / w.alpha)
-    mid = 0.5 * (x[0] + x[1])
-    fmid = eval_weight(w, mid) ** (1.0 / w.alpha)
-    violation = fmid - 0.5 * (f[0] + f[1])
-    worst = int(np.argmax(violation))
-    return {
-        "pass": bool(violation[worst] <= _TOL_QUASICONVEX),
-        "worst_violation": float(violation[worst]),
-        "witness": (x[0, worst].tolist(), x[1, worst].tolist()),
-    }
 

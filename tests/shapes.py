@@ -1,0 +1,59 @@
+"""Test domains and the rearrangement and inclusion checks that only the
+tests use: random starshaped blobs, Steiner symmetrization and inclusion."""
+
+import numpy as np
+
+from torsionshape import kernels
+from torsionshape.domain import Domain, Field, build_domain
+from torsionshape.errors import GridMismatch
+from torsionshape.verify import CheckReport
+
+
+def random_starshaped_blob(grid, rng, r0=1.0, amp=0.25, n_modes=4):
+    """Random smooth starshaped domain r(theta) = r0 (1 + sum of Fourier bumps)."""
+    coef = rng.uniform(-amp, amp, size=(2, n_modes)) / np.arange(1, n_modes + 1)
+    pts = grid.nodes()
+    r = np.hypot(pts[..., 0], pts[..., 1])
+    theta = np.arctan2(pts[..., 1], pts[..., 0])
+    rb = np.ones_like(theta)
+    for m in range(1, n_modes + 1):
+        rb += coef[0, m - 1] * np.cos(m * theta) + coef[1, m - 1] * np.sin(m * theta)
+    return build_domain(grid, Field(r - r0 * np.maximum(rb, 0.2)))
+
+
+def steiner_symmetrize(d, axis):
+    """Recenter, per grid column, the inside length about the hyperplane x_axis=0.
+
+    Column lengths come from the same cut-cell areas as ``volume`` (cell-column
+    area / h, averaged onto node lines), so the rearrangement preserves the
+    measured volume up to round-off.
+    """
+    grid = d.grid
+    h = grid.h
+    areas, _, _ = kernels.cell_geometry(d.ls, h)
+    col = np.sum(areas, axis=1 if axis == 1 else 0) / h
+    coords = grid.ys if axis == 1 else grid.xs
+    lengths = np.zeros(len(col) + 1)
+    lengths[1:-1] = 0.5 * (col[:-1] + col[1:])
+    lengths[0] = 0.5 * col[0]
+    lengths[-1] = 0.5 * col[-1]
+    new = np.abs(coords)[None, :] - 0.5 * lengths[:, None]
+    new = np.where(lengths[:, None] > 0.0, new, np.abs(coords)[None, :] + h)
+    out = new if axis == 1 else new.T
+    # the tent field |coord| - L/2 is itself a valid level set; skipping a
+    # reinitialization keeps the per-column volume exact
+    return Domain(grid, out)
+
+
+def check_inclusion(inner, outer, slack=None):
+    """Every inside node of `inner` must be inside `outer` up to a boundary band."""
+    if inner.grid.shape != outer.grid.shape or inner.grid.box != outer.grid.box:
+        raise GridMismatch("domains must share a grid")
+    slack = 2 * inner.grid.h if slack is None else slack
+    # a Domain has an inside node, so the maximum is over a non-empty set
+    outer_ls = np.where(inner.ls < 0.0, outer.ls, -np.inf)
+    idx = np.unravel_index(np.argmax(outer_ls), outer_ls.shape)
+    measured = max(float(outer_ls[idx]), 0.0)
+    return CheckReport("inclusion", bool(measured <= slack), measured=measured,
+                       tol=slack,
+                       witness={"point": inner.grid.nodes()[idx].tolist()})

@@ -108,10 +108,12 @@ def test_sweep_non_numeric_eps_exits_2(tmp_path, capsys, eps):
 
 @pytest.mark.parametrize("override", ["sweep.esp=[0.1]", "sweep.k=-1",
                                       "sweep.eps=[-0.1]", "sweep.eps=[0.1,0.1]",
-                                      "sweep.eps=[0.05,-0.05]"])
+                                      "sweep.eps=[0.05,-0.05]",
+                                      "sweep.eps=[0.05,1.5]"])
 def test_sweep_bad_config_exits_2(tmp_path, capsys, monkeypatch, override):
     # rejected before any flow: a negative eps would be fitted as signed
-    # against widths even in eps, and a repeated one makes the fit singular
+    # against widths even in eps, a repeated one makes the fit singular, and
+    # eps >= 1 makes the weight's profile non-positive
     def no_flow(w, init):
         raise AssertionError("sweep ran a flow")
 
@@ -222,12 +224,45 @@ def test_oracle_subcommand(capsys):
 @pytest.mark.parametrize("args", [["--k", "-1"], ["--eps", "0"], ["--N", "0"],
                                   ["--alpha", "-1"], ["--N", "-2"],
                                   ["--k", "nan"], ["--alpha", "nan"],
-                                  ["--eps", "nan"], ["--k", "inf"]],
+                                  ["--eps", "nan"], ["--k", "inf"],
+                                  ["--eps", "1"], ["--eps", "1.5"]],
                          ids="=".join)
 def test_oracle_bad_arguments_exit_2(capsys, args):
     # argparse keeps an option's last value, so the case overrides the default
     assert main(["oracle", "--k", "0.5", "--alpha", "2.5", *args]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("check,nx,ny,box",
+                         [("symmetry_x", 80, 64, [-2.0, -2.0, 3.0, 2.0]),
+                          ("symmetry_y", 64, 80, [-2.0, -2.0, 2.0, 3.0])],
+                         ids=["symmetry_x", "symmetry_y"])
+def test_symmetry_check_on_lopsided_box_exits_2(tmp_path, capsys, monkeypatch,
+                                                command, check, nx, ny, box):
+    # a symmetry check mirrors the nodes across its axis, so a box that is
+    # not symmetric about that axis is refused before any flow or check runs
+    def no_run(*args, **kwargs):
+        raise AssertionError(f"{command} ran a flow or a check")
+
+    monkeypatch.setattr(cli, "optimize", no_run)
+    monkeypatch.setattr(cli, "_run_checks", no_run)
+    args = ["--override", f'checks=["basic","{check}"]']
+    if command == "solve":
+        args += ["--out", str(tmp_path / "o"),
+                 "--override", f"grid.nx={nx}", "--override", f"grid.ny={ny}",
+                 "--override", f"grid.box={json.dumps(box)}"]
+    else:
+        path = tmp_path / "domain.csv"
+        with open(path, "w") as fh:
+            save_domain(build_domain(GridSpec(nx, ny, tuple(box)),
+                                     Ball(radius=1.0)), fh)
+        args += ["--domain", str(path)]
+    assert main(["--quiet", command, *args]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert check in err["message"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_verify_subcommand_pass_and_fail(tmp_path, capsys):

@@ -5,14 +5,13 @@ import re
 import numpy as np
 import pytest
 
+from shapes import random_starshaped_blob, steiner_symmetrize
 from torsionshape import (Ball, Domain, Ellipse, GridSpec, boundary_samples,
                           build_domain, energy_J, objective_scale_invariant,
                           phi_constraint, residual_fbp, scale_domain,
                           solve_torsion, weighted_perimeter)
 from torsionshape import kernels, torsion
-from torsionshape.domain import (cell_quadrature, interp_bilinear,
-                                 random_starshaped_blob, schwarz_symmetrize,
-                                 steiner_symmetrize)
+from torsionshape.domain import cell_quadrature, interp_bilinear, volume
 from torsionshape.errors import EmptyDomain, SolverDiverged, StarvedBoundary
 from torsionshape.torsion import (CG_RTOL, MG_COARSE, THETA_MIN,
                                   _interior_operator, _multigrid,
@@ -215,8 +214,8 @@ def test_coarse_operators_are_positive_definite():
     grid = GridSpec(64, 64, BOX)
     for _ in range(17):
         d = random_starshaped_blob(grid, rng, r0=1.0, amp=0.25)
-        for dom in (d, schwarz_symmetrize(d),
-                    steiner_symmetrize(d, int(rng.integers(2)))):
+        schwarz = build_domain(grid, Ball(radius=np.sqrt(volume(d) / np.pi)))
+        for dom in (d, schwarz, steiner_symmetrize(d, int(rng.integers(2)))):
             ops = _coarse_operators(dom)
             assert ops
             for Ac in ops:

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
+from shapes import check_inclusion, random_starshaped_blob
 from torsionshape import (Ball, Ellipse, Sublevel, build_domain, kernels,
                           scale_domain, verify)
-from torsionshape.domain import Field, random_starshaped_blob
+from torsionshape.domain import Field
 from torsionshape.errors import AlphaOne, GridMismatch
-from torsionshape.verify import (check_basic, check_convex, check_inclusion,
-                                 check_radial_ball, check_sandwich,
-                                 check_scaling_laws, check_starshaped,
-                                 check_symmetry)
+from torsionshape.verify import (check_basic, check_convex, check_radial_ball,
+                                 check_sandwich, check_scaling_laws,
+                                 check_starshaped, check_symmetry)
 from torsionshape.torsion import solve_torsion
 from torsionshape.weight import fourier_weight, radial_weight
 
