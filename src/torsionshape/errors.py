@@ -34,7 +34,8 @@ class GridMismatch(TorsionShapeError):
 
 
 class StarvedBoundary(TorsionShapeError):
-    """No boundary sample has interior probes for the gradient."""
+    """The front spans too few cells: no boundary sample has interior probes
+    for the gradient, or the projection onto phi = 1 misses it."""
 
 
 class SolverDiverged(TorsionShapeError):

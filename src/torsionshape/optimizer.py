@@ -9,8 +9,9 @@ from . import kernels
 from .domain import (Domain, Field, GridSpec, build_domain, interp_bilinear,
                      reinitialize, scale_domain)
 from .errors import (AlphaOne, BadMultiplier, DegenerateWeight, EmptyDomain,
-                     OutOfBox)
-from .oracle import multiplier_rescale, phi_degree, scale_invariant_objective
+                     OutOfBox, StarvedBoundary)
+from .oracle import (multiplier_rescale, phi_degree, pohozaev_multiplier,
+                     scale_invariant_objective)
 from .torsion import energy_J, phi_constraint, residual_fbp, solve_torsion
 from .weight import eval_weight
 
@@ -25,7 +26,15 @@ ELL_CELLS = 4
 # 0.12 h, of the boundary gradient on the exact unit ball
 C_L2 = 0.25
 TOL_OBJECTIVE = 1e-6
-REINIT_EVERY = 10
+# the Newton-type step fits the residual's modes 1..M_MODES and damps the
+# rest as mode M_MODES + 1; at 8 modes the cli-pnorm-256 reference ends
+# with a 29% higher L2 residual
+M_MODES = 4
+# |phi - 1| after a level's projection: at most 0.004 on every test and
+# benchmark flow and 0.02 on a seed of radius 4h, but 0.05 to 7.5 on the
+# radial seeds of radius 2.8h down to 0.8h (k = 32 to 400 at 64²), which
+# the homothety's bilinear resampling distorts
+PHI_TOL = 0.03
 MIN_LEVEL_CELLS = 64  # the coarsest level keeps at least this many cells
 
 
@@ -109,8 +118,8 @@ def _extend_velocity(grid, samples, vn_samples):
     ``interp_bilinear``) and smoothed by ``_h1_solve``, as in Burger
     (Interfaces Free Bound. 5, 2003) and Allaire, Jouve and Toader
     (J. Comput. Phys. 194, 2004).  The result is scaled by its L2(ds)
-    projection onto vn at the samples and clipped to +-max|vn|, so that
-    dt = CFL h / max|vn| still moves the front at most CFL h.
+    projection onto vn at the samples and clipped to +-max|vn|, so no node
+    moves farther than the largest sample displacement.
     """
     h = grid.h
     i, j, tx, ty = grid.cell(samples.points)
@@ -170,54 +179,104 @@ def optimize(w, init):
         if k:
             ls = interp_bilinear(d.ls, d.grid, grid.nodes())
             d = build_domain(grid, Field(ls))
-        d, mu, reason = _flow(w, d, records)
-    final_d, t = fbp_rescale(d, mu, w.alpha)
-    if not final_d.is_signed_distance:
-        final_d = reinitialize(final_d)
+        d, J, phi, reason = _flow(w, d, records)
+    # every step redistances, so d and its homothety are signed distances
+    final_d, t = fbp_rescale(d, pohozaev_multiplier(J, phi, w.alpha), w.alpha)
     return OptimizationTrace(records=records, final_domain=final_d,
                              final_field=solve_torsion(final_d),
                              final_rescale=t, reason=reason)
 
 
+def _newton_speed(u, w, mu):
+    """Per-sample normal speed of the Newton-type step, and the fitted modes.
+
+    The relative residual rho = |grad u| / (c g) - 1, c = sqrt(-2 mu), is
+    fitted over the valid samples by ds-weighted least squares in 1,
+    cos m theta, sin m theta (m = 1..M_MODES; theta the sample's angle about
+    the origin).  On the ball, r = R (1 + e cos m theta) gives rho the mode-m
+    amplitude -(m + alpha - 1) e (the linearisation of
+    ``oracle.response_modes``), so the step moves the front radially by
+    dr/r = sum_m rho_m / (m + alpha - 1) + (rho - fit) / (M + alpha - 1):
+    a gradient step in the metric of the shape Hessian at the ball (Burger,
+    Interfaces Free Bound. 5, 2003).  Mode 0 is the homothety, which the
+    multiplier owns, so it gets no step; an invalid sample takes the fitted
+    modes alone.  The radial move dr r_hat has the normal speed
+    dr r_hat.n = (dr/r) x.n.  On a front that is not starshaped about the
+    origin that product is <= 0 where a ray leaves the front inwards: the
+    front still moves by the radial field dr(theta) r_hat, which is no
+    longer a Newton step, and the objective test decides.  Returns (vn,
+    coef), coef = [rho_0, rho_1..rho_M (cos), rho_1..rho_M (sin)].
+    """
+    s = u.domain.samples
+    grad, valid = u.gradient
+    rho = grad / (np.sqrt(-2.0 * mu) * eval_weight(w, s.points)) - 1.0
+    theta = np.arctan2(s.points[:, 1], s.points[:, 0])
+    mt = np.outer(theta, np.arange(1, M_MODES + 1))
+    basis = np.column_stack([np.ones_like(theta), np.cos(mt), np.sin(mt)])
+    sw = np.sqrt(s.ds[valid])
+    coef = np.linalg.lstsq(basis[valid] * sw[:, None], rho[valid] * sw,
+                           rcond=None)[0]
+    gain = 1.0 / (np.arange(1, M_MODES + 1) + w.alpha - 1.0)
+    rel = basis[:, 1:] @ (coef[1:] * np.tile(gain, 2))
+    tail = (rho - basis @ coef) / (M_MODES + w.alpha - 1.0)
+    rel[valid] += tail[valid]
+    return rel * np.sum(s.points * s.normals, axis=1), coef
+
+
+def _advance(d, V, scale):
+    """d advected by the grid speed scale * V over time 1, redistanced.
+
+    The move takes ceil(scale max|V| / (CFL h)) upwind substeps, so no
+    substep moves the front more than CFL h.
+    """
+    h = d.grid.h
+    n = max(1, int(np.ceil(scale * float(np.max(np.abs(V))) / (CFL * h))))
+    ls = d.ls
+    for _ in range(n):
+        ls = kernels.advect_step(ls, V, h, scale / n)
+    return reinitialize(Domain(d.grid, ls))
+
+
 def _flow(w, init, records):
     """The flow on ``init``'s grid; appends its records to ``records``.
 
-    Projects the input onto phi = 1 once; each accepted step then advects
-    the level set (first-order upwind, CFL limited) and reinitializes every
-    REINIT_EVERY iterations, with no projection: the objective
-    phi^(-4/(2 alpha + 2)) J is homothety invariant, the fitted multiplier
-    holds phi to first order (the records' phi shows the drift), and the
-    final homothety needs only mu.  Terminates when the L2 residual of
-    |grad u| = sqrt(-2 mu) g drops to C_L2 * h (by homogeneity, the
-    free-boundary residual after that homothety), when the objective
-    stalls, or at MAX_ITERS.  Returns the last iterate, its multiplier and
-    the termination reason.
+    Projects the input onto phi = 1 once, and raises StarvedBoundary if the
+    projected phi misses 1 by more than PHI_TOL (a front resolved by too few
+    cells to be resampled).  Each iteration then takes the Newton-type step
+    of ``_newton_speed``, extended to the grid by ``_extend_velocity``,
+    advected over time 1 and redistanced (``_advance``); a step that raises
+    the objective phi^(-4/(2 alpha + 2)) J is halved, and the fifth
+    rejection ends the level ``stalled``.  No step projects: the objective
+    is homothety invariant, the step leaves mode 0 to the multiplier (the
+    records' phi shows the drift), and the final homothety needs only J and
+    phi.  Terminates when the L2 residual of |grad u| = sqrt(-2 mu) g drops
+    to C_L2 * h (by homogeneity, the free-boundary residual after that
+    homothety), when three accepted steps in a row leave the objective
+    flat, or at MAX_ITERS.  Returns the last iterate, its J and phi and the
+    termination reason.
     """
     grid = init.grid
     h = grid.h
     d, _ = rescale_to_constraint(init, w)
     if not d.is_signed_distance:
         d = reinitialize(d)
-    step_scale = 1.0
+    phi = phi_constraint(w, d)
+    if abs(phi - 1.0) > PHI_TOL:
+        raise StarvedBoundary(
+            f"projection onto phi = 1 left phi = {phi:.6g} on a front of "
+            f"{len(d.samples)} samples, grid {grid.nx}x{grid.ny}")
     stall_count = 0
     reason = "max_iters"
     u = solve_torsion(d)
     mu = estimate_multiplier(u, w)
-    J, phi = energy_J(u), phi_constraint(w, d)
+    J = energy_J(u)
     obj = scale_invariant_objective(J, phi, w.alpha)
 
     for it in range(MAX_ITERS):
         res_sup, res_l2 = residual_fbp(u, w, np.sqrt(-2.0 * mu))
-        s = d.samples
-        grad, valid = u.gradient
-        g2 = eval_weight(w, s.points) ** 2
-        vn = 0.5 * grad ** 2 + mu * g2
-        vn[~valid] = 0.0
-        vmax = float(np.max(np.abs(vn)))
-        dt = CFL * h / max(vmax, 1e-12) * step_scale
-        records.append(dict(level=grid.nx, iter=it, J=J, phi=phi,
-                            objective=obj, mu=mu, residual_sup=res_sup,
-                            residual_l2=res_l2, dt=dt))
+        rec = dict(level=grid.nx, iter=it, J=J, phi=phi, objective=obj,
+                   mu=mu, residual_sup=res_sup, residual_l2=res_l2, step=0.0)
+        records.append(rec)
         if res_l2 <= C_L2 * h:
             reason = "converged"
             break
@@ -225,28 +284,23 @@ def _flow(w, init, records):
             reason = "stalled"
             break
 
-        vn_ext = _extend_velocity(grid, s, vn)
-        # every iteration that gets here accepts a step or ends the flow, so
-        # iteration it tries the (it + 1)-th step: redistance every
-        # REINIT_EVERY accepted steps
+        vn, _ = _newton_speed(u, w, mu)
+        V = _extend_velocity(grid, d.samples, vn)
+        scale = 1.0
         for _ in range(5):
-            ls_new = kernels.advect_step(d.ls, vn_ext, h, dt)
-            d_new = Domain(grid, ls_new, is_signed_distance=False)
-            if (it + 1) % REINIT_EVERY == 0:
-                d_new = reinitialize(d_new)
+            d_new = _advance(d, V, scale)
             u_new = solve_torsion(d_new)
             J_new, phi_new = energy_J(u_new), phi_constraint(w, d_new)
             obj_new = scale_invariant_objective(J_new, phi_new, w.alpha)
             if obj_new <= obj + 1e-6 * abs(obj):
                 break
-            dt *= 0.5
-            step_scale = max(step_scale * 0.5, 1.0 / 32.0)
+            scale *= 0.5
         else:
             reason = "stalled"
             break
-        step_scale = min(1.0, step_scale * 1.5)
+        rec["step"] = scale * float(np.max(np.abs(V)))
         stalled = abs(obj - obj_new) < TOL_OBJECTIVE * abs(obj_new)
         stall_count = stall_count + 1 if stalled else 0
         d, u, J, phi, obj = d_new, u_new, J_new, phi_new, obj_new
         mu = estimate_multiplier(u, w)
-    return d, mu, reason
+    return d, J, phi, reason

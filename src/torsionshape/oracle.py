@@ -138,6 +138,21 @@ def multiplier_rescale(mu, alpha):
     return (-2.0 * mu) ** (1.0 / (2.0 * (alpha - 1.0)))
 
 
+def pohozaev_multiplier(J, phi, alpha, N=2):
+    """The multiplier (N + 2) J / ((2 alpha + N) phi) of a torsion domain.
+
+    The Pohozaev identity for -lap u = 1, u = 0 on the boundary (Pohozaev,
+    Soviet Math. Dokl. 6, 1965) gives int |grad u|^2 (x.n) ds = -2 (N + 2) J;
+    with |grad u|^2 = -2 mu g^2 on the boundary and int g^2 (x.n) ds =
+    phi_degree(alpha, N) phi (divergence theorem and homogeneity), this is
+    mu.  It needs only J and phi, which the cut-cell quadrature gets to
+    second order, where a fit of the boundary gradient is first order.
+    """
+    if phi <= 0:
+        raise ValueError("phi must be positive")
+    return (N + 2) * J / (phi_degree(alpha, N) * phi)
+
+
 def oracle_report(k, alpha, N=2, eps=None):
     """All closed-form quantities for (k, alpha, N[, eps]) as one dict."""
     R = fbp_radius(k, alpha, N)

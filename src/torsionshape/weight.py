@@ -1,5 +1,6 @@
 """Positively homogeneous weights g(x) = |x|^alpha * profile(theta)."""
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +41,19 @@ class Weight:
         return out
 
 
+def _real(name, v):
+    """``v`` as a float; a bool, a string or a list is no number."""
+    if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {v!r}")
+    return float(v)
+
+
+def _reals(name, v):
+    """A number, or a flat list of numbers, as a 1-D float array."""
+    items = v if isinstance(v, (list, tuple, np.ndarray)) else [v]
+    return np.array([_real(name, x) for x in items], dtype=float)
+
+
 def make_weight(spec):
     """Build a validated Weight from a JSON-style description.
 
@@ -47,7 +61,7 @@ def make_weight(spec):
     "radial" (k), "fourier" (a, b cosine/sine coefficients) or
     "pnorm" (p, a, b).
     """
-    alpha = float(spec["alpha"])
+    alpha = _real("alpha", spec["alpha"])
     if alpha <= 0:
         raise BadDegree(f"alpha must be > 0, got {alpha}")
     prof = spec["profile"]
@@ -61,15 +75,15 @@ def make_weight(spec):
     if missing:
         raise ValueError(f"{kind} profile needs keys {missing}")
     if kind == "radial":  # the Fourier profile with a[0] = k alone
-        params = {"a": np.array([float(prof["k"])]), "b": np.zeros(1)}
+        params = {"a": np.array([_real("k", prof["k"])]), "b": np.zeros(1)}
     elif kind == "fourier":
-        a = np.atleast_1d(np.asarray(prof["a"], dtype=float))
+        a = _reals("a", prof["a"])
         if a.size == 0:
             raise ValueError("fourier profile needs a constant term a[0]")
-        b = np.atleast_1d(np.asarray(prof["b"], dtype=float))
+        b = _reals("b", prof["b"])
         params = {"a": a, "b": np.concatenate(([0.0], b))}  # b[m]: sin(m theta)
     else:
-        params = {"p": float(prof["p"]), "a": float(prof["a"]), "b": float(prof["b"])}
+        params = {key: _real(key, prof[key]) for key in ("p", "a", "b")}
         if params["p"] <= 0 or params["a"] <= 0 or params["b"] <= 0:
             raise NonPositiveProfile("pnorm parameters must be positive")
     w = Weight(alpha=alpha, kind=kind, params=params)

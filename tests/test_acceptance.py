@@ -167,7 +167,7 @@ def test_criterion_06c_response_modes(sweep_runs):
     # the driven cos 2 theta mode within 0.05 h of its closed form, and the
     # modes 1..6 the weight does not drive within 0.1 h of 0; the mean
     # radius (mode 0) is left out, for it is even in eps and so carries an
-    # O(eps^2) shift the first-order oracle omits (0.23 h at eps = 0.1)
+    # O(eps^2) shift the first-order oracle omits (0.18 h at eps = 0.1)
     worst_driven = worst_other = 0.0
     rows = []
     for eps, run in sorted(sweep_runs.items()):

@@ -80,7 +80,10 @@ def test_unknown_check_exits_2(tmp_path):
     'weight.profile={"type":"radial","k":0.5,"p":4}', "grid.nxx=64",
     "checks=[]", "grid.nx=32.5", "weight.profile.k=0.7",
     'weight.profile={"type":"fourier"}',
-    'weight.profile={"type":"fourier","a":[],"b":[]}', "schema=7", "schema=0"])
+    'weight.profile={"type":"fourier","a":[],"b":[]}', "schema=7", "schema=0",
+    'weight.profile={"type":"radial","k":true}',
+    'weight.profile={"type":"radial","k":"0.5"}',
+    'weight.profile={"type":"fourier","a":[[0.5]],"b":[]}'])
 def test_bad_config_value_exits_2(tmp_path, capsys, override):
     # the case comes last, so the 32² grid cannot overwrite it
     rc = main(["--quiet", "solve", "--out", str(tmp_path / "o"),
@@ -93,7 +96,13 @@ def test_bad_config_value_exits_2(tmp_path, capsys, override):
                 'weight.profile={"type":"fourier"}': "needs keys ['a', 'b']",
                 'weight.profile={"type":"fourier","a":[],"b":[]}':
                     "bad weight spec: fourier profile needs a constant term a[0]",
-                "schema=7": "schema must be 1, got 7"}
+                "schema=7": "schema must be 1, got 7",
+                'weight.profile={"type":"radial","k":true}':
+                    "k must be a number, got True",
+                'weight.profile={"type":"radial","k":"0.5"}':
+                    "k must be a number, got '0.5'",
+                'weight.profile={"type":"fourier","a":[[0.5]],"b":[]}':
+                    "a must be a number, got [0.5]"}
     assert expected.get(override, "") in err["message"]
 
 
@@ -154,7 +163,8 @@ def test_alpha_one_exits_3(tmp_path):
 @pytest.mark.parametrize("command", ["solve", "verify"])
 def test_starved_boundary_exits_3(tmp_path, capsys, command):
     # at k = 400 the sublevel set G1 has radius 0.05, under one cell at
-    # 64², so no boundary sample has two interior probes for |grad u|
+    # 64²: solve's projection onto phi = 1 misses, and verify's sandwich
+    # finds no boundary sample with two interior probes for |grad u|
     if command == "solve":
         args = ["solve", "--out", str(tmp_path / "o"),
                 "--override", "grid.nx=64", "--override", "grid.ny=64"]
@@ -173,8 +183,8 @@ def test_starved_boundary_exits_3(tmp_path, capsys, command):
 
 
 def test_failed_solve_leaves_the_output_set_untouched(tmp_path):
-    # the k = 400 solve raises StarvedBoundary after its flow; nothing may
-    # be written by then, or new artifacts would sit beside an old report
+    # the k = 400 solve raises StarvedBoundary; nothing may be written by
+    # then, or new artifacts would sit beside an old report
     out = tmp_path / "o"
     grid = ["--override", "grid.nx=64", "--override", "grid.ny=64"]
     assert main(["--quiet", "solve", "--out", str(out), *grid]) == 0

@@ -149,6 +149,21 @@ def test_multiplier_rescale():
         oracle.multiplier_rescale(0.5, 2.0)
 
 
+@pytest.mark.parametrize("N, alpha", [(2, 2.0), (2, 1.25), (3, 2.5)])
+def test_pohozaev_multiplier_on_balls(N, alpha):
+    # on the ball of radius R, |grad u| = R/N and g = k R^alpha on the
+    # boundary, so mu = -(R/N)^2 / (2 k^2 R^(2 alpha)); -1/2 at fbp_radius
+    k = 0.5
+    for R in (0.7, 1.0, oracle.fbp_radius(k, alpha, N)):
+        J, phi = oracle.ball_energy_phi(R, k, alpha, N)
+        mu = -(R / N) ** 2 / (2.0 * k ** 2 * R ** (2 * alpha))
+        assert oracle.pohozaev_multiplier(J, phi, alpha, N) == pytest.approx(
+            mu, rel=1e-12)
+    assert mu == pytest.approx(-0.5, rel=1e-12)
+    with pytest.raises(ValueError):
+        oracle.pohozaev_multiplier(J, 0.0, alpha, N)
+
+
 def test_oracle_report_contents():
     rep = oracle.oracle_report(0.5, 2.0, 2, eps=0.1)
     assert rep["radius"] == pytest.approx(1.0)
