@@ -3,6 +3,7 @@
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 from scipy.fft import dctn, idctn
 
 from . import kernels
@@ -26,14 +27,14 @@ ELL_CELLS = 4
 # 0.12 h, of the boundary gradient on the exact unit ball
 C_L2 = 0.25
 TOL_OBJECTIVE = 1e-6
-# the Newton-type step fits the residual's modes 1..M_MODES and damps the
-# rest as mode M_MODES + 1; at 8 modes the cli-pnorm-256 reference ends
-# with a 29% higher L2 residual
+# the Newton-type step fits at least the residual's modes 1..M_MODES; a
+# front of mean radius R resolves R / ell modes, about 4 on the 64² level
+# of the unit-ball references
 M_MODES = 4
-# |phi - 1| after a level's projection: at most 0.004 on every test and
-# benchmark flow and 0.02 on a seed of radius 4h, but 0.05 to 7.5 on the
-# radial seeds of radius 2.8h down to 0.8h (k = 32 to 400 at 64²), which
-# the homothety's bilinear resampling distorts
+# |phi - 1| after the finest level's projection: at most 0.004 on every
+# test and benchmark flow and 0.02 on a seed of radius 4h, but 0.05 to 7.5
+# on the radial seeds of radius 2.8h down to 0.8h (k = 32 to 400 at 64²),
+# which the homothety's bilinear resampling distorts
 PHI_TOL = 0.03
 MIN_LEVEL_CELLS = 64  # the coarsest level keeps at least this many cells
 
@@ -161,15 +162,16 @@ def _ladder(init):
 
 
 def optimize(w, init):
-    """Gradient flow with normal speed (1/2)|grad u|^2 + mu g^2, coarse to fine.
+    """Newton-type flow, coarse to fine, closed by the Pohozaev homothety.
 
-    Runs the single-level flow on each grid of ``_ladder(init)`` in turn;
-    each finer level starts from the previous level's last iterate,
-    interpolated bilinearly and redistanced (nested iteration).  The final
-    homothety by the finest level's multiplier solves the free-boundary
-    problem.  The records of all levels are concatenated, coarse to fine,
-    and each names its grid's ``nx`` as ``level``; the termination reason
-    is the finest level's.
+    Runs the single-level flow ``_flow`` on each grid of ``_ladder(init)``
+    in turn; each finer level starts from the previous level's last
+    iterate, interpolated by a bicubic spline and redistanced (nested
+    iteration).  The homothety by ``oracle.pohozaev_multiplier`` of the
+    finest level's last J and phi then solves the free-boundary problem.
+    The records of all levels are concatenated, coarse to fine, and each
+    names its grid's ``nx`` as ``level``; the termination reason is the
+    finest level's.
     """
     if w.alpha <= 1:
         raise AlphaOne("optimization restricted to alpha > 1")
@@ -177,9 +179,15 @@ def optimize(w, init):
     records = []
     for k, grid in enumerate(grids):
         if k:
-            ls = interp_bilinear(d.ls, d.grid, grid.nodes())
+            # bilinear resampling leaves the coarse cells' kinks in the
+            # front: the radial k = 0.6 flow's 256² level starts at an L2
+            # residual of 0.43 h after it and 0.15 h after the spline
+            at = np.moveaxis(grid.nodes(), -1, 0) - np.reshape(
+                d.grid.box[:2], (2, 1, 1))
+            ls = ndimage.map_coordinates(d.ls, at / d.grid.h, order=3,
+                                         mode="nearest")
             d = build_domain(grid, Field(ls))
-        d, J, phi, reason = _flow(w, d, records)
+        d, J, phi, reason = _flow(w, d, records, k == len(grids) - 1)
     # every step redistances, so d and its homothety are signed distances
     final_d, t = fbp_rescale(d, pohozaev_multiplier(J, phi, w.alpha), w.alpha)
     return OptimizationTrace(records=records, final_domain=final_d,
@@ -188,39 +196,45 @@ def optimize(w, init):
 
 
 def _newton_speed(u, w, mu):
-    """Per-sample normal speed of the Newton-type step, and the fitted modes.
+    """Per-sample normal speed of the Newton-type step.
 
     The relative residual rho = |grad u| / (c g) - 1, c = sqrt(-2 mu), is
     fitted over the valid samples by ds-weighted least squares in 1,
-    cos m theta, sin m theta (m = 1..M_MODES; theta the sample's angle about
-    the origin).  On the ball, r = R (1 + e cos m theta) gives rho the mode-m
-    amplitude -(m + alpha - 1) e (the linearisation of
-    ``oracle.response_modes``), so the step moves the front radially by
-    dr/r = sum_m rho_m / (m + alpha - 1) + (rho - fit) / (M + alpha - 1):
-    a gradient step in the metric of the shape Hessian at the ball (Burger,
-    Interfaces Free Bound. 5, 2003).  Mode 0 is the homothety, which the
-    multiplier owns, so it gets no step; an invalid sample takes the fitted
-    modes alone.  The radial move dr r_hat has the normal speed
-    dr r_hat.n = (dr/r) x.n.  On a front that is not starshaped about the
-    origin that product is <= 0 where a ray leaves the front inwards: the
-    front still moves by the radial field dr(theta) r_hat, which is no
-    longer a Newton step, and the objective test decides.  Returns (vn,
-    coef), coef = [rho_0, rho_1..rho_M (cos), rho_1..rho_M (sin)].
+    cos m theta, sin m theta (theta the sample's angle about the origin)
+    for m = 1..K, K = max(M_MODES, R / ell): the modes that the extension
+    of length ell = ELL_CELLS h resolves on a front of mean radius R.  On
+    the ball, r = R (1 + e cos m theta) gives rho the mode-m amplitude
+    -(m + alpha - 1) e (the linearisation of ``oracle.response_modes``), so
+    the step moves the front radially by dr/r = sum_m rho_m / (m + alpha -
+    1) + (rho - fit) / (K + alpha - 1): a gradient step in the metric of the
+    shape Hessian at the ball (Burger, Interfaces Free Bound. 5, 2003).
+    The remainder takes mode K's gain, for the extension damps mode m by
+    about 1 / (1 + (m ell / R)^2) and no more: a larger gain over-steps the
+    modes just beyond K, and the fine levels chase the boundary gradient's
+    grid-scale noise.  Mode 0 is the homothety, which the multiplier owns,
+    so it gets no step; an invalid sample takes the fitted modes alone.
+    The radial move dr r_hat has the normal speed dr r_hat.n = (dr/r) x.n.
+    On a front that is not starshaped about the origin that product is <= 0
+    where a ray leaves the front inwards: the front still moves by the
+    radial field dr(theta) r_hat, which is no longer a Newton step, and the
+    objective test decides.
     """
     s = u.domain.samples
     grad, valid = u.gradient
     rho = grad / (np.sqrt(-2.0 * mu) * eval_weight(w, s.points)) - 1.0
-    theta = np.arctan2(s.points[:, 1], s.points[:, 0])
-    mt = np.outer(theta, np.arange(1, M_MODES + 1))
-    basis = np.column_stack([np.ones_like(theta), np.cos(mt), np.sin(mt)])
+    r = np.hypot(s.points[:, 0], s.points[:, 1])
+    ell = ELL_CELLS * u.domain.grid.h
+    K = max(M_MODES, int(np.sum(r * s.ds) / (np.sum(s.ds) * ell)))
+    m = np.arange(1, K + 1)
+    mt = np.outer(np.arctan2(s.points[:, 1], s.points[:, 0]), m)
+    basis = np.column_stack([np.ones_like(r), np.cos(mt), np.sin(mt)])
     sw = np.sqrt(s.ds[valid])
     coef = np.linalg.lstsq(basis[valid] * sw[:, None], rho[valid] * sw,
                            rcond=None)[0]
-    gain = 1.0 / (np.arange(1, M_MODES + 1) + w.alpha - 1.0)
-    rel = basis[:, 1:] @ (coef[1:] * np.tile(gain, 2))
-    tail = (rho - basis @ coef) / (M_MODES + w.alpha - 1.0)
+    rel = basis[:, 1:] @ (coef[1:] / np.tile(m + w.alpha - 1.0, 2))
+    tail = (rho - basis @ coef) / (K + w.alpha - 1.0)
     rel[valid] += tail[valid]
-    return rel * np.sum(s.points * s.normals, axis=1), coef
+    return rel * np.sum(s.points * s.normals, axis=1)
 
 
 def _advance(d, V, scale):
@@ -237,23 +251,25 @@ def _advance(d, V, scale):
     return reinitialize(Domain(d.grid, ls))
 
 
-def _flow(w, init, records):
+def _flow(w, init, records, finest):
     """The flow on ``init``'s grid; appends its records to ``records``.
 
-    Projects the input onto phi = 1 once, and raises StarvedBoundary if the
-    projected phi misses 1 by more than PHI_TOL (a front resolved by too few
-    cells to be resampled).  Each iteration then takes the Newton-type step
-    of ``_newton_speed``, extended to the grid by ``_extend_velocity``,
-    advected over time 1 and redistanced (``_advance``); a step that raises
-    the objective phi^(-4/(2 alpha + 2)) J is halved, and the fifth
-    rejection ends the level ``stalled``.  No step projects: the objective
-    is homothety invariant, the step leaves mode 0 to the multiplier (the
-    records' phi shows the drift), and the final homothety needs only J and
-    phi.  Terminates when the L2 residual of |grad u| = sqrt(-2 mu) g drops
-    to C_L2 * h (by homogeneity, the free-boundary residual after that
-    homothety), when three accepted steps in a row leave the objective
-    flat, or at MAX_ITERS.  Returns the last iterate, its J and phi and the
-    termination reason.
+    Projects the input onto phi = 1 once; on the ``finest`` level, raises
+    StarvedBoundary if the projected phi misses 1 by more than PHI_TOL (a
+    front resolved by too few cells to be resampled).  A coarser level goes
+    on from such a projection: the objective is homothety invariant, and
+    each finer level projects again.  Each iteration then takes the
+    Newton-type step of ``_newton_speed``, extended to the grid by
+    ``_extend_velocity``, advected over time 1 and redistanced
+    (``_advance``); a step that raises the objective phi^(-4/(2 alpha + 2))
+    J is halved, and the fifth rejection ends the level ``stalled``.  No
+    step projects: the objective is homothety invariant, the step leaves
+    mode 0 to the multiplier (the records' phi shows the drift), and the
+    final homothety needs only J and phi.  Terminates when the L2 residual
+    of |grad u| = sqrt(-2 mu) g drops to C_L2 * h (by homogeneity, the
+    free-boundary residual after that homothety), when three accepted steps
+    in a row leave the objective flat, or at MAX_ITERS.  Returns the last
+    iterate, its J and phi and the termination reason.
     """
     grid = init.grid
     h = grid.h
@@ -261,7 +277,7 @@ def _flow(w, init, records):
     if not d.is_signed_distance:
         d = reinitialize(d)
     phi = phi_constraint(w, d)
-    if abs(phi - 1.0) > PHI_TOL:
+    if finest and abs(phi - 1.0) > PHI_TOL:
         raise StarvedBoundary(
             f"projection onto phi = 1 left phi = {phi:.6g} on a front of "
             f"{len(d.samples)} samples, grid {grid.nx}x{grid.ny}")
@@ -284,7 +300,7 @@ def _flow(w, init, records):
             reason = "stalled"
             break
 
-        vn, _ = _newton_speed(u, w, mu)
+        vn = _newton_speed(u, w, mu)
         V = _extend_velocity(grid, d.samples, vn)
         scale = 1.0
         for _ in range(5):

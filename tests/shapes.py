@@ -1,5 +1,6 @@
-"""Test domains and the rearrangement and inclusion checks that only the
-tests use: random starshaped blobs, Steiner symmetrization and inclusion."""
+"""Test domains and the rearrangement, inclusion and mode-fit checks that
+only the tests use: random starshaped blobs, Steiner symmetrization,
+inclusion and the Fourier modes of a boundary function."""
 
 import numpy as np
 
@@ -19,6 +20,24 @@ def random_starshaped_blob(grid, rng, r0=1.0, amp=0.25, n_modes=4):
     for m in range(1, n_modes + 1):
         rb += coef[0, m - 1] * np.cos(m * theta) + coef[1, m - 1] * np.sin(m * theta)
     return build_domain(grid, Field(r - r0 * np.maximum(rb, 0.2)))
+
+
+def fourier_modes(points, ds, values, modes=6):
+    """(A, B): the ds-weighted least-squares fit of ``values`` at ``points``
+    by sum_m A_m cos m theta + B_m sin m theta, m <= modes, theta each
+    point's angle about the origin; B_0 = 0."""
+    theta = np.arctan2(points[:, 1], points[:, 0])
+    m = np.arange(modes + 1)
+    X = np.hstack([np.cos(np.outer(theta, m)), np.sin(np.outer(theta, m[1:]))])
+    sw = np.sqrt(ds)
+    c = np.linalg.lstsq(X * sw[:, None], values * sw, rcond=None)[0]
+    return c[:modes + 1], np.concatenate(([0.0], c[modes + 1:]))
+
+
+def radius_modes(samples, modes=6):
+    """``fourier_modes`` of the boundary samples' radius r(theta)."""
+    r = np.hypot(samples.points[:, 0], samples.points[:, 1])
+    return fourier_modes(samples.points, samples.ds, r, modes)
 
 
 def steiner_symmetrize(d, axis):

@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from shapes import (check_inclusion, random_starshaped_blob,
+from shapes import (check_inclusion, radius_modes, random_starshaped_blob,
                     steiner_symmetrize)
 from torsionshape import (Ball, Ellipse, GridSpec, Sublevel, boundary_samples,
                           build_domain, energy_J, estimate_multiplier,
@@ -152,17 +152,6 @@ def test_criterion_06b_stability_width_slope(sweep_runs):
 MODES = 6
 
 
-def _radius_modes(samples):
-    """(A, B): the ds-weighted least-squares fit of r(theta) up to MODES."""
-    theta = np.arctan2(samples.points[:, 1], samples.points[:, 0])
-    r = np.hypot(samples.points[:, 0], samples.points[:, 1])
-    m = np.arange(MODES + 1)
-    X = np.hstack([np.cos(np.outer(theta, m)), np.sin(np.outer(theta, m[1:]))])
-    sw = np.sqrt(samples.ds)
-    c = np.linalg.lstsq(X * sw[:, None], r * sw, rcond=None)[0]
-    return c[:MODES + 1], np.concatenate(([0.0], c[MODES + 1:]))
-
-
 def test_criterion_06c_response_modes(sweep_runs):
     # the driven cos 2 theta mode within 0.05 h of its closed form, and the
     # modes 1..6 the weight does not drive within 0.1 h of 0; the mean
@@ -172,7 +161,7 @@ def test_criterion_06c_response_modes(sweep_runs):
     rows = []
     for eps, run in sorted(sweep_runs.items()):
         h = run.grid.h
-        A, B = _radius_modes(run.domain.samples)
+        A, B = radius_modes(run.domain.samples, MODES)
         a = np.zeros(MODES + 1)
         a[2] = eps
         A0, B0 = oracle.response_modes(0.5, 2.0, a, np.zeros(MODES + 1))
