@@ -63,12 +63,17 @@ class GridSpec:
     def cell(self, pts):
         """(i, j, tx, ty): the cell of each point (..., 2), clamped to the
         grid, and the point's fractions across it, in [0, 1)."""
-        x0, y0, _, _ = self.box
-        fx = np.clip((pts[..., 0] - x0) / self.h, 0.0, self.nx - 1e-12)
-        fy = np.clip((pts[..., 1] - y0) / self.h, 0.0, self.ny - 1e-12)
-        i = fx.astype(int)
-        j = fy.astype(int)
-        return i, j, fx - i, fy - j
+        i, tx = self.split(pts[..., 0], 0)
+        j, ty = self.split(pts[..., 1], 1)
+        return i, j, tx, ty
+
+    def split(self, x, axis):
+        """(i, t): the cell index along ``axis`` of each coordinate ``x``,
+        clamped to the grid, and its fraction across the cell, in [0, 1)."""
+        f = np.clip((x - self.box[axis]) / self.h, 0.0,
+                    self.shape[axis] - 1 - 1e-12)
+        i = f.astype(int)
+        return i, f - i
 
     def symmetric(self, axis):
         """Whether the box is symmetric about the hyperplane x_axis = 0, so
@@ -102,10 +107,17 @@ class Domain:
         if bad:
             raise NonFinite(f"level set holds {bad} non-finite values")
         if np.min(ls) >= 0.0:
-            raise EmptyDomain("level set has no interior nodes")
-        if min(np.min(ls[:m]), np.min(ls[-m:]), np.min(ls[:, :m]),
-               np.min(ls[:, -m:])) <= 0.0:
-            raise OutOfBox("zero level set violates the bounding-box margin")
+            raise EmptyDomain(f"level set has no interior nodes on grid "
+                              f"{self.grid.nx}x{self.grid.ny}")
+        frame = (ls[:m], ls[-m:], ls[:, :m], ls[:, -m:])
+        if min(np.min(f) for f in frame) <= 0.0:
+            # the message is built here only: the ladder catches this error
+            touched = [side for side, f in zip(("x0", "x1", "y0", "y1"), frame)
+                       if np.min(f) <= 0.0]
+            raise OutOfBox(
+                f"zero level set violates the {m}-cell bounding-box margin "
+                f"on side(s) {', '.join(touched)} of grid "
+                f"{self.grid.nx}x{self.grid.ny}, box {list(self.grid.box)}")
         ls.setflags(write=False)
 
     @cached_property
@@ -204,25 +216,41 @@ def volume(d):
     return float(np.sum(areas))
 
 
+def _lerp2(f00, f10, f01, f11, tx, ty):
+    """Bilinear blend of a cell's corner values, as nested linear steps
+    ``a + t (b - a)``: four equal corners give exactly their value."""
+    lo = f00 + tx * (f10 - f00)
+    hi = f01 + tx * (f11 - f01)
+    return lo + ty * (hi - lo)
+
+
 def interp_bilinear(field, grid, pts):
     """Bilinear interpolation of a nodal field at points (..., 2), edge-clamped.
 
-    Written as nested linear steps ``a + t (b - a)``, so a cell whose four
-    corners hold one value returns exactly that value: the clamped plateau
-    of a redistanced ``ls`` stays flat under resampling.
+    The nested form keeps the clamped plateau of a redistanced ``ls`` flat
+    under resampling.
     """
     i, j, tx, ty = grid.cell(np.asarray(pts, dtype=float))
     f = field
-    lo = f[i, j] + tx * (f[i + 1, j] - f[i, j])
-    hi = f[i, j + 1] + tx * (f[i + 1, j + 1] - f[i, j + 1])
-    return lo + ty * (hi - lo)
+    return _lerp2(f[i, j], f[i + 1, j], f[i, j + 1], f[i + 1, j + 1], tx, ty)
+
+
+def _central_gradient(ls, h, i, j):
+    """``np.gradient(ls, h)`` at the nodes (i, j), bit for bit, from its
+    interior formula: a ``Domain``'s margin keeps the nodes near the front
+    off the grid's edge."""
+    gx = (ls[i + 1, j] - ls[i - 1, j]) / (2.0 * h)
+    gy = (ls[i, j + 1] - ls[i, j - 1]) / (2.0 * h)
+    return gx, gy
 
 
 def boundary_samples(d):
     """Marching-squares extraction of the zero level set.
 
-    Segment midpoints with outward unit normals (from interpolated grad ls)
-    and segment lengths; the chords are consistent with cell_quadrature.
+    Segment midpoints with outward unit normals and segment lengths; the
+    chords are consistent with cell_quadrature.  A normal is ``grad ls``
+    interpolated bilinearly at the midpoint from the central differences at
+    its cell's four corners.
     """
     ls = d.ls
     grid = d.grid
@@ -251,9 +279,11 @@ def boundary_samples(d):
     ds = np.hypot(seg[:, 0], seg[:, 1])
     keep = ds > 1e-12 * h
     mid, seg, ds = mid[keep], seg[keep], ds[keep]
-    gx, gy = np.gradient(ls, h)
-    nx = interp_bilinear(gx, grid, mid)
-    ny = interp_bilinear(gy, grid, mid)
+    ci, cj, tx, ty = grid.cell(mid)
+    gx, gy = _central_gradient(ls, h, ci[:, None] + [0, 1, 0, 1],
+                               cj[:, None] + [0, 0, 1, 1])
+    nx = _lerp2(*gx.T, tx, ty)
+    ny = _lerp2(*gy.T, tx, ty)
     nrm = np.hypot(nx, ny)
     # fall back to the segment perpendicular where grad ls degenerates
     bad = nrm < 1e-10
@@ -275,29 +305,40 @@ def reinitialize(d):
     The narrow-band Jacobi eikonal solve makes ``|ls|`` the exact distance
     to the front where it is below ``REINIT_BAND_CELLS * h`` and clamps it
     to that value beyond, keeping every node's sign.  Every consumer reads
-    ``ls`` near the front or only its sign.
+    ``ls`` near the front or only its sign.  The solve is seeded at the
+    nodes with a neighbour across the front, with ``|ls| / |grad ls|``; the
+    gradient is taken at those nodes alone.
     """
     grid = d.grid
     h = grid.h
     ls = d.ls
     inside = ls < 0.0
     flip = kernels.neighbour_differs(inside)
-    gx, gy = np.gradient(ls, h)
-    gn = np.clip(np.hypot(gx, gy), 0.2, 5.0)
+    fi, fj = np.nonzero(flip)
+    gn = np.clip(np.hypot(*_central_gradient(ls, h, fi, fj)), 0.2, 5.0)
     dist = np.full(grid.shape, np.inf)
-    dist[flip] = np.abs(ls[flip]) / gn[flip]
+    dist[fi, fj] = np.abs(ls[fi, fj]) / gn
     kernels.eikonal_solve(dist, flip, h, band=REINIT_BAND_CELLS)
     out = np.where(inside, -dist, dist)
     return Domain(grid, out, is_signed_distance=True)
 
 
 def scale_domain(d, t):
-    """Homothety t*Omega, resampling the level set at x/t."""
+    """Homothety t*Omega, resampling the level set at x/t.
+
+    The same values as ``interp_bilinear`` at ``grid.nodes() / t``: a node's
+    ``x/t`` depends on its row alone and ``y/t`` on its column alone, so each
+    axis is split into cells once and the corners gathered by rows and
+    columns.
+    """
     if t <= 0:
         raise ValueError("scale factor must be > 0")
     grid = d.grid
-    pts = grid.nodes() / t
-    ls = interp_bilinear(d.ls, grid, pts.reshape(-1, 2)).reshape(grid.shape)
+    i, tx = grid.split(grid.xs / t, 0)
+    j, ty = grid.split(grid.ys / t, 1)
+    lo, hi = d.ls[i], d.ls[i + 1]
+    ls = _lerp2(lo[:, j], hi[:, j], lo[:, j + 1], hi[:, j + 1],
+                tx[:, None], ty[None, :])
     if d.is_signed_distance:
         ls = t * ls
     return Domain(grid, ls, is_signed_distance=d.is_signed_distance)

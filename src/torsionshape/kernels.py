@@ -6,7 +6,10 @@
 interpolant of the nodal level set along the cell edges.
 """
 
+import math
+
 import numpy as np
+from scipy import ndimage
 
 USE_NUMBA = False  # no compiled kernels; perfbench/worker.py still records it
 
@@ -72,19 +75,19 @@ def advect_step(ls, vn, h, dt):
 # Eikonal solve |grad d| = 1 (Jacobi iteration)
 # ---------------------------------------------------------------------------
 
-def _eikonal_round(d, frozen, h, cap):
-    p = np.pad(d, 1, constant_values=cap)
-    a = np.minimum(p[:-2, 1:-1], p[2:, 1:-1])
-    b = np.minimum(p[1:-1, :-2], p[1:-1, 2:])
+def _eikonal_round(p, idx, stride, h):
+    """One Jacobi round on the nodes ``idx`` of the flat padded array ``p``,
+    whose rows are ``stride`` long; every new value is computed before any
+    is stored."""
+    a = np.minimum(p[idx - stride], p[idx + stride])
+    b = np.minimum(p[idx - 1], p[idx + 1])
     diff = np.abs(a - b)
     new = np.where(
         diff >= h,
         np.minimum(a, b) + h,
         0.5 * (a + b + np.sqrt(np.maximum(2.0 * h * h - diff * diff, 0.0))),
     )
-    new = np.minimum(d, new)
-    new[frozen] = d[frozen]
-    np.copyto(d, new)
+    p[idx] = np.minimum(p[idx], new)
 
 
 def eikonal_solve(d, frozen, h, band):
@@ -101,21 +104,33 @@ def eikonal_solve(d, frozen, h, band):
     ``min(f(a, b), C) = min(f(min(a, C), min(b, C)), C)``.  Seeded at the
     cap, the rounds need no sentinel for unreached nodes.
 
-    A round lowers a node only if a 4-neighbour is already below ``C``, so
-    the rounds run on the box of the nodes below ``C``, grown by the number
-    of rounds and clipped to the grid: no node outside it leaves the cap,
-    which is the value the round's padding supplies at the box's edge.
+    The rounds run only on the non-frozen nodes within 4-neighbour graph
+    distance ``R = ceil(band*sqrt(2))`` of a seed, a node below ``C``.  For
+    ``diff = |a - b| <= h`` the update is ``min(a, b) + (diff +
+    sqrt(2h^2 - diff^2))/2 >= min(a, b) + h/sqrt(2)``, and ``min(a, b) + h``
+    beyond, so a node ``k`` steps from every seed never falls below
+    ``min(C, k*h/sqrt(2))``: a node with ``k >= band*sqrt(2)`` stays at the
+    cap, which is also what the padding around the seeds' box supplies.
     """
     cap = band * h
     np.minimum(d, cap, out=d)
-    rounds = 2 * band + 2
-    i, j = np.nonzero(d < cap)
+    seed = d < cap
+    i = np.flatnonzero(seed.any(axis=1))
+    j = np.flatnonzero(seed.any(axis=0))
     if len(i) == 0:
         return d
-    box = (slice(max(i.min() - rounds, 0), i.max() + rounds + 1),
-           slice(max(j.min() - rounds, 0), j.max() + rounds + 1))
-    for _ in range(rounds):
-        _eikonal_round(d[box], frozen[box], h, cap)
+    reach = math.ceil(band * math.sqrt(2.0))
+    box = (slice(max(i[0] - reach, 0), i[-1] + reach + 1),
+           slice(max(j[0] - reach, 0), j[-1] + reach + 1))
+    sub = d[box]
+    tube = ndimage.binary_dilation(seed[box], iterations=reach) & ~frozen[box]
+    ti, tj = np.nonzero(tube)
+    p = np.pad(sub, 1, constant_values=cap).ravel()
+    stride = sub.shape[1] + 2
+    idx = (ti + 1) * stride + tj + 1
+    for _ in range(2 * band + 2):
+        _eikonal_round(p, idx, stride, h)
+    sub[ti, tj] = p[idx]
     return d
 
 

@@ -182,6 +182,23 @@ def test_starved_boundary_exits_3(tmp_path, capsys, command):
     assert "grid 64x64" in err["message"]
 
 
+def test_seed_in_the_margin_exits_3_naming_grid_box_and_sides(tmp_path,
+                                                              capsys):
+    # the default weight's seed G1 has radius sqrt(2), which reaches the
+    # margin of the y = +-1.5 sides of this box
+    out = tmp_path / "o"
+    rc = main(["--quiet", "solve", "--out", str(out),
+               "--override", "grid.nx=128", "--override", "grid.ny=96",
+               "--override", "grid.box=[-2.0,-1.5,2.0,1.5]"])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "OutOfBox"
+    for part in ("grid 128x96", "box [-2.0, -1.5, 2.0, 1.5]", "4-cell",
+                 "side(s) y0, y1 "):
+        assert part in err["message"]
+    assert not out.exists()
+
+
 def test_failed_solve_leaves_the_output_set_untouched(tmp_path):
     # the k = 400 solve raises StarvedBoundary; nothing may be written by
     # then, or new artifacts would sit beside an old report

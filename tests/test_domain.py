@@ -11,8 +11,9 @@ from torsionshape import (Ball, Domain, Ellipse, GridSpec, Sublevel,
                           load_domain, reinitialize, save_domain, scale_domain,
                           volume)
 from torsionshape import domain as domain_mod
-from torsionshape.domain import (Field, connected_components, reflect,
-                                 save_boundary, write_csv)
+from torsionshape.domain import (Field, connected_components,
+                                 interp_bilinear, reflect, save_boundary,
+                                 write_csv)
 from torsionshape.errors import EmptyDomain, GridMismatch, NonFinite, OutOfBox
 from torsionshape.torsion import solve_torsion
 from torsionshape.weight import radial_weight
@@ -90,6 +91,77 @@ def test_boundary_normals_radial(grid256):
     angle = np.arccos(np.clip(np.sum(s.normals * radial, axis=1), -1.0, 1.0))
     assert np.max(angle) < 1e-2
     assert np.allclose(np.linalg.norm(s.normals, axis=1), 1.0, atol=1e-8)
+
+
+# the grids the front-only sweeps are checked on: square, non-square, and a
+# box that is not symmetric about the origin
+SWEEP_GRIDS = {
+    "128x128": GridSpec(128, 128, BOX),
+    "128x96": GridSpec(128, 96, (-2.0, -1.5, 2.0, 1.5)),
+    "160x128-lopsided": GridSpec(160, 128, (-2.0, -2.0, 3.0, 2.0)),
+}
+
+
+def _sweep_domain(grid, signed, seed=0):
+    """A small domain off the origin: a redistanced random blob, or a
+    quadratic field that is no signed distance and has no clamped plateau."""
+    pts = grid.nodes()
+    if signed:
+        d = random_starshaped_blob(grid, np.random.default_rng(seed), r0=0.55)
+        assert d.is_signed_distance
+        return d
+    x, y = pts[..., 0] - 0.2, pts[..., 1] + 0.1
+    return Domain(grid, (x / 0.6) ** 2 + (y / 0.45) ** 2 + 0.3 * x * y - 1.0)
+
+
+@pytest.mark.parametrize("signed", [True, False], ids=["sdf", "raw"])
+@pytest.mark.parametrize("name", SWEEP_GRIDS)
+def test_boundary_normals_match_gradient_then_interpolation(name, signed):
+    grid = SWEEP_GRIDS[name]
+    d = _sweep_domain(grid, signed)
+    s = boundary_samples(d)
+    gx, gy = np.gradient(d.ls, grid.h)
+    nx = interp_bilinear(gx, grid, s.points)
+    ny = interp_bilinear(gy, grid, s.points)
+    nrm = np.hypot(nx, ny)
+    ref = np.stack([nx / nrm, ny / nrm], axis=-1)
+    # orientation is the walk's, checked in test_boundary_normals_radial
+    sign = np.where(np.sum(s.normals * ref, axis=1) < 0.0, -1.0, 1.0)
+    assert len(s) > 100
+    assert np.array_equal(s.normals, sign[:, None] * ref)
+
+
+@pytest.mark.parametrize("t", [0.5, 0.9, 1.0, 1.1, 1.7])
+@pytest.mark.parametrize("signed", [True, False], ids=["sdf", "raw"])
+@pytest.mark.parametrize("name", SWEEP_GRIDS)
+def test_scale_domain_matches_bilinear_resampling(name, signed, t):
+    grid = SWEEP_GRIDS[name]
+    d = _sweep_domain(grid, signed)
+    ref = interp_bilinear(d.ls, grid, grid.nodes() / t)
+    if signed:
+        ref = t * ref
+    out = scale_domain(d, t)
+    assert out.is_signed_distance == signed
+    assert np.array_equal(out.ls, ref)
+
+
+def test_out_of_box_names_grid_margin_and_sides():
+    grid = SWEEP_GRIDS["128x96"]
+    pts = grid.nodes()
+    # the front reaches into the frame at y = +-1.5 only
+    ls = np.hypot(pts[..., 0] / 1.2, pts[..., 1] / 1.45) - 1.0
+    with pytest.raises(OutOfBox) as err:
+        Domain(grid, ls)
+    msg = str(err.value)
+    assert "4-cell" in msg and "grid 128x96" in msg
+    assert "box [-2.0, -1.5, 2.0, 1.5]" in msg
+    assert "side(s) y0, y1 " in msg
+    lop = SWEEP_GRIDS["160x128-lopsided"]
+    pts = lop.nodes()
+    with pytest.raises(OutOfBox, match=r"side\(s\) x1 of grid 160x128"):
+        Domain(lop, np.hypot(pts[..., 0] - 2.7, pts[..., 1]) - 0.3)
+    with pytest.raises(EmptyDomain, match="grid 128x96"):
+        Domain(grid, np.ones(grid.shape))
 
 
 def test_boundary_requires_zero_crossing(grid128):

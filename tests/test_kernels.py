@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from torsionshape import domain, kernels
 from torsionshape.domain import (Domain, GridSpec, boundary_samples,
@@ -91,12 +92,28 @@ def test_eikonal_solve_reproduces_ball_distance(ball_ls):
     assert np.max(np.abs(dist - np.abs(ls))) < 3 * h
 
 
+def _whole_grid_round(d, frozen, h, cap):
+    """One Jacobi round over every node, the grid padded with the cap."""
+    p = np.pad(d, 1, constant_values=cap)
+    a = np.minimum(p[:-2, 1:-1], p[2:, 1:-1])
+    b = np.minimum(p[1:-1, :-2], p[1:-1, 2:])
+    diff = np.abs(a - b)
+    new = np.where(
+        diff >= h,
+        np.minimum(a, b) + h,
+        0.5 * (a + b + np.sqrt(np.maximum(2.0 * h * h - diff * diff, 0.0))),
+    )
+    new = np.minimum(d, new)
+    new[frozen] = d[frozen]
+    np.copyto(d, new)
+
+
 def _eikonal_whole_grid(d, frozen, h, band):
     """Reference: clamp to the cap, then every round over the whole grid."""
     cap = band * h
     np.minimum(d, cap, out=d)
     for _ in range(2 * band + 2):
-        kernels._eikonal_round(d, frozen, h, cap)
+        _whole_grid_round(d, frozen, h, cap)
     return d
 
 
@@ -115,6 +132,66 @@ def test_eikonal_solve_on_the_box_matches_whole_grid(centre, radius, band):
     dist[frozen] = np.abs(ls[frozen])
     ref = _eikonal_whole_grid(dist.copy(), frozen, h, band)
     assert np.array_equal(kernels.eikonal_solve(dist, frozen, h, band), ref)
+
+
+def _starshaped_ls(X, Y, rng, centre, scale):
+    """``(r - r_b(theta))`` times a random factor, about ``centre``: r_b has
+    random modes 2..5 like the geometry benchmark's curves, so the field is
+    no signed distance and its front runs along the diagonals too."""
+    x, y = (X - centre[0]) / scale, (Y - centre[1]) / scale
+    theta = np.arctan2(y, x)
+    rb = np.ones_like(theta)
+    for m in range(2, 6):
+        c, s = rng.uniform(-0.15, 0.15, 2) / m
+        rb += c * np.cos(m * theta) + s * np.sin(m * theta)
+    return (np.hypot(x, y) - rb) * rng.uniform(0.3, 3.0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("case, band", [
+    ("centred", 8),
+    ("clipped", 8),        # the grown box is clipped by two grid edges
+    ("two components", 8),
+    ("centred", 192),      # band = 2n: the tube covers the grid
+])
+def test_eikonal_solve_matches_whole_grid_on_random_fields(case, band, seed):
+    xs = np.linspace(-2.0, 2.0, 97)
+    h = xs[1] - xs[0]
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    rng = np.random.default_rng([seed, len(case), band])
+    if case == "centred":
+        ls = _starshaped_ls(X, Y, rng, (0.0, 0.0), 1.0)
+    elif case == "clipped":
+        ls = _starshaped_ls(X, Y, rng, (-1.55, 1.5), 0.3)
+    else:
+        ls = np.minimum(_starshaped_ls(X, Y, rng, (-0.9, 0.1), 0.6),
+                        _starshaped_ls(X, Y, rng, (0.8, -0.4), 0.7))
+        assert ndimage.label(ls < 0.0)[1] == 2
+    frozen = kernels.neighbour_differs(ls < 0.0)
+    dist = np.full(ls.shape, np.inf)
+    dist[frozen] = np.abs(ls[frozen])
+    ref = _eikonal_whole_grid(dist.copy(), frozen, h, band)
+    assert np.count_nonzero(ref < band * h) > np.count_nonzero(frozen)
+    assert np.array_equal(kernels.eikonal_solve(dist, frozen, h, band), ref)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_reinitialize_matches_full_grid_reference(seed):
+    # |grad ls| from np.gradient over the whole grid, then the eikonal solve
+    # over the whole grid
+    grid = GridSpec(96, 96, (-2.0, -2.0, 2.0, 2.0))
+    X, Y = np.moveaxis(grid.nodes(), -1, 0)
+    ls = _starshaped_ls(X, Y, np.random.default_rng(seed), (0.1, -0.2), 1.0)
+    h = grid.h
+    flip = kernels.neighbour_differs(ls < 0.0)
+    gx, gy = np.gradient(ls, h)
+    gn = np.clip(np.hypot(gx, gy), 0.2, 5.0)
+    dist = np.full(ls.shape, np.inf)
+    dist[flip] = np.abs(ls[flip]) / gn[flip]
+    dist = _eikonal_whole_grid(dist, flip, h, domain.REINIT_BAND_CELLS)
+    out = reinitialize(Domain(grid, ls))
+    assert out.is_signed_distance
+    assert np.array_equal(out.ls, np.where(ls < 0.0, -dist, dist))
 
 
 def test_eikonal_solve_without_a_node_below_the_cap():
