@@ -93,14 +93,21 @@ def _eikonal_round(p, idx, stride, h):
 def eikonal_solve(d, frozen, h, band):
     """In-place unsigned distance in a tube; ``frozen`` nodes keep their values.
 
-    The result is the converged Jacobi distance wherever that is below
-    ``C = band*h``, and ``C`` beyond it (Adalsteinsson and Sethian,
-    J. Comput. Phys. 118, 1995).  A round carries the front's values one
-    cell further, so ``2*band + 2`` rounds settle the tube.  Clamping ``d``
-    to ``C`` before the rounds gives the same values as clamping after
-    them: the update ``f(a, b)`` is nondecreasing in each argument, and for
-    ``a >= C`` both ``f(a, b)`` and ``f(C, b)`` are ``b + h`` when
-    ``b <= C - h`` and at least ``C`` otherwise, so
+    The result is ``2*band + 2`` Jacobi rounds of the upwind update, capped
+    at ``C = band*h`` (Adalsteinsson and Sethian, J. Comput. Phys. 118,
+    1995), not the rounds' fixed point.  A round never raises a value, and
+    as the update is nondecreasing in each argument, never lowers one below
+    the fixed point.  After ``k`` rounds a node holds its fixed-point value
+    when the chain of smaller neighbours its update reads reaches a frozen
+    node within ``k`` links.  A two-sided update whose axis minima differ by
+    nearly ``h`` lies barely above the larger one, so a chain can be longer.
+    Over nine measured redistancings at 64² to 384², the fixed point took
+    18 to 31 rounds, and after ``2*band + 2`` = 18 up to 1,530 nodes sat
+    above it, by at most 1.3e-8*h and none within 4h of the front.
+
+    Clamping ``d`` to ``C`` before the rounds gives the same values as
+    clamping after them: for ``a >= C`` both ``f(a, b)`` and ``f(C, b)``
+    are ``b + h`` when ``b <= C - h`` and at least ``C`` otherwise, so
     ``min(f(a, b), C) = min(f(min(a, C), min(b, C)), C)``.  Seeded at the
     cap, the rounds need no sentinel for unreached nodes.
 

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.sparse import csr_matrix
 
 from .domain import interp_bilinear
@@ -14,7 +14,7 @@ from .weight import eval_weight
 
 THETA_MIN = 1e-2     # cut-cell fraction clamp, keeps the system well conditioned
 CG_RTOL = 1e-10
-MG_COARSE = 150      # unknowns at which the V-cycle switches to a dense solve
+MG_COARSE = 1500     # unknowns at which the V-cycle switches to a banded solve
 MG_OMEGA = 0.7       # damped-Jacobi weight of the smoother
 MG_SWEEPS = 2        # smoothing sweeps before and after each coarse correction
 
@@ -115,12 +115,27 @@ def _restriction(inside):
     return R, coarse
 
 
+def _banded_factor(A):
+    """Upper banded Cholesky factor of the SPD CSR matrix A (Golub and Van
+    Loan, Matrix Computations, 4.3), in LAPACK's band storage for
+    ``cho_solve_banded`` and the natural order of A's unknowns."""
+    A = A.tocoo()
+    upper = A.col >= A.row
+    row, col = A.row[upper], A.col[upper]
+    kd = int(np.max(col - row))
+    ab = np.zeros((kd + 1, A.shape[0]))
+    ab[kd + row - col, col] = A.data[upper]
+    return cholesky_banded(ab, check_finite=False)
+
+
 def _multigrid(A, inside):
     """Galerkin hierarchy of the SPD operator A on ``inside``, for ``_vcycle``.
 
     Coarse operators R A R^T (Trottenberg, Oosterlee and Schueller,
-    Multigrid, 2001) down to at most MG_COARSE unknowns, which a dense
-    Cholesky factor solves.  Returns (levels, factor); a level is
+    Multigrid, 2001) down to at most MG_COARSE unknowns, which a banded
+    Cholesky factor solves at O(n kd^2) cost, kd the half-bandwidth.  A
+    system of at most MG_COARSE unknowns gets no level, so its V-cycle is
+    the exact solve.  Returns (levels, factor); a level is
     (A, MG_OMEGA / diag A, R, R^T).
     """
     levels = []
@@ -129,7 +144,7 @@ def _multigrid(A, inside):
         P = R.T
         levels.append((A, MG_OMEGA / A.diagonal(), R, P))
         A = R @ (A @ P)
-    return levels, cho_factor(A.toarray(), check_finite=False)
+    return levels, _banded_factor(A)
 
 
 def _vcycle(mg, r, lev=0):
@@ -137,11 +152,12 @@ def _vcycle(mg, r, lev=0):
 
     Each level smooths with MG_SWEEPS damped-Jacobi sweeps before and after
     its coarse correction.  The same symmetric sweeps on both sides keep the
-    preconditioner symmetric, as CG needs.
+    preconditioner symmetric, as CG needs.  The coarsest level is solved
+    exactly by the banded factor; with no level above it, that is A^-1 r.
     """
     levels, factor = mg
     if lev == len(levels):
-        return cho_solve(factor, r, check_finite=False)
+        return cho_solve_banded((factor, False), r, check_finite=False)
     A, w_inv_d, R, P = levels[lev]
     x = w_inv_d * r
     for _ in range(MG_SWEEPS - 1):
@@ -190,10 +206,12 @@ def solve_torsion(d):
     symmetric positive definite (Gibou, Fedkiw, Cheng and Kang, J. Comput.
     Phys. 176, 2002).  The system is assembled on the interior nodes only
     and solved by CG preconditioned with one multigrid V-cycle, whose
-    iteration count does not grow with the grid.  The result is accepted on
-    its true residual b - A x, recomputed from x on the same operator; CG
-    restarts from it in the rare case that rounding left it above the
-    recursive one.
+    iteration count does not grow with the grid; the V-cycle ends in a
+    banded Cholesky solve of at most MG_COARSE unknowns, at O(n kd^2) cost
+    for half-bandwidth kd, so a system that small takes one exact CG step.
+    The result is accepted on its true residual b - A x, recomputed from x
+    on the same operator; CG restarts from it in the rare case that
+    rounding left it above the recursive one.
     """
     A, inside = _interior_operator(d)
     n = A.shape[0]

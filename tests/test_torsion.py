@@ -15,7 +15,7 @@ from torsionshape.domain import cell_quadrature, interp_bilinear, volume
 from torsionshape.errors import EmptyDomain, SolverDiverged, StarvedBoundary
 from torsionshape.torsion import (CG_RTOL, MG_COARSE, THETA_MIN,
                                   _interior_operator, _multigrid,
-                                  boundary_gradient)
+                                  _restriction, _vcycle, boundary_gradient)
 from torsionshape.weight import radial_weight
 from scipy.sparse.linalg import spsolve
 from scipy.spatial import cKDTree
@@ -165,7 +165,9 @@ def test_solve_restarts_from_true_residual(monkeypatch):
                     maxiter)
 
     monkeypatch.setattr(torsion, "_pcg", stops_early)
-    u = solve_torsion(build_domain(GridSpec(64, 64, BOX), Ellipse(1.3, 0.7)))
+    # at 128² the first pass takes several steps; a 64² system is solved
+    # exactly in one, so it would never stop early
+    u = solve_torsion(build_domain(GridSpec(128, 128, BOX), Ellipse(1.3, 0.7)))
     assert len(tols) == 2
     assert u.residual <= CG_RTOL
 
@@ -178,19 +180,35 @@ def _square_to_the_margin(grid):
                   - half)
 
 
-@pytest.mark.parametrize("n, make", [
-    (45, lambda g: build_domain(g, Ellipse(1.3, 0.7))),
-    (64, lambda g: build_domain(g, Ellipse(1.3, 0.7))),
-    (119, _square_to_the_margin),
-], ids=["ellipse-45", "ellipse-64", "square-119"])
-def test_solve_matches_direct_solve(n, make):
-    # 45 cells give an even node count; at 119 the margin has shrunk away on
-    # a deep level, whose stencils then reach past the last row of its grid
+def _coarse_masks(inside, levels):
+    """The coarse interior mask of each level that ``_multigrid`` built."""
+    masks = []
+    for _ in levels:
+        inside = _restriction(inside)[1]
+        masks.append(inside)
+    return masks
+
+
+@pytest.mark.parametrize("n, make, reaches_edge", [
+    (45, lambda g: build_domain(g, Ellipse(1.3, 0.7)), False),
+    (64, lambda g: build_domain(g, Ellipse(1.3, 0.7)), False),
+    (95, lambda g: build_domain(g, Ellipse(1.3, 0.7)), False),
+    (119, _square_to_the_margin, False),
+    (239, _square_to_the_margin, True),
+], ids=["ellipse-45", "ellipse-64", "ellipse-95", "square-119",
+        "square-239"])
+def test_solve_matches_direct_solve(n, make, reaches_edge):
+    # 45 and 95 cells give an even node count, and 95 builds a level (1,616
+    # unknowns); at 239 the margin has shrunk away on the coarsest level (841
+    # unknowns), whose restriction stencils then reach past the last row of
+    # the level above; at 119 the levels stop at 729 unknowns, before that
     d = make(GridSpec(n, n, BOX))
     A, inside = _interior_operator(d)
     x = spsolve(A.tocsc(), np.ones(A.shape[0]))
     u = solve_torsion(d)
     assert np.linalg.norm(u.values[inside] - x) <= 1e-9 * np.linalg.norm(x)
+    masks = _coarse_masks(inside, _multigrid(A, inside)[0])
+    assert any(m[-1].any() or m[:, -1].any() for m in masks) == reaches_edge
 
 
 @pytest.mark.parametrize("n", [128, 256, 512])
@@ -201,9 +219,16 @@ def test_iterations_do_not_grow_with_the_grid(n):
 
 
 def _coarse_operators(d):
+    """The Galerkin chain R A R^T of d's operator, level by level, until the
+    coarse set is empty: every level ``_multigrid`` builds, and deeper."""
     A, inside = _interior_operator(d)
-    levels, _ = _multigrid(A, inside)
-    return [R @ (Al @ P) for Al, _, R, P in levels]
+    ops = []
+    while True:
+        R, inside = _restriction(inside)
+        if not inside.any():
+            return ops
+        A = R @ (A @ R.T)
+        ops.append(A)
 
 
 def test_coarse_operators_are_positive_definite():
@@ -229,6 +254,61 @@ def test_small_domain_is_solved_directly():
     u = solve_torsion(d)
     assert u.iterations == 1
     assert u.residual <= CG_RTOL
+
+
+def test_small_system_is_one_exact_step():
+    # every 64² system of the flow is at most MG_COARSE unknowns: no level,
+    # so the V-cycle is the banded solve and CG stops after one step
+    d = build_domain(GridSpec(64, 64, BOX), Ellipse(1.3, 0.7))
+    A, inside = _interior_operator(d)
+    assert A.shape[0] == 735
+    assert _multigrid(A, inside)[0] == []
+    u = solve_torsion(d)
+    assert u.iterations == 1
+    assert u.residual <= CG_RTOL
+
+
+def _coarsest(d):
+    """(the coarsest operator, the hierarchy) of d's ``_multigrid``."""
+    A, inside = _interior_operator(d)
+    mg = _multigrid(A, inside)
+    for Al, _, R, P in mg[0]:
+        A = R @ (Al @ P)
+    return A, mg
+
+
+@pytest.mark.parametrize("n", [128, 256, 512])
+def test_coarsest_level_fits_the_banded_solve(n):
+    d = build_domain(GridSpec(n, n, BOX), Ellipse(1.3, 0.7))
+    Ac, (levels, _) = _coarsest(d)
+    assert levels
+    assert levels[-1][0].shape[0] > MG_COARSE
+    assert Ac.shape[0] <= MG_COARSE
+
+
+def _strip(grid):
+    """A vertical strip 10 nodes wide, to the box's margin in y."""
+    pts = grid.nodes()
+    return Domain(grid, np.maximum(np.abs(pts[..., 0] - 0.5 * grid.h)
+                                   - 5.0 * grid.h,
+                                   np.abs(pts[..., 1]) - (2.0 - 4.5 * grid.h)))
+
+
+@pytest.mark.parametrize("n, make, min_kd", [
+    (239, _square_to_the_margin, 25),
+    (128, _strip, 119),
+], ids=["square-239", "strip-128"])
+def test_banded_solve_matches_dense_solve(n, make, min_kd):
+    # the strip's unknowns run up each column in C order, so its half-band
+    # is a column's 119 nodes: the widest band a system this size has
+    Ac, mg = _coarsest(make(GridSpec(n, n, BOX)))
+    kd, n = mg[1].shape[0] - 1, mg[1].shape[1]
+    assert n == Ac.shape[0]
+    assert kd >= min_kd
+    r = np.random.default_rng(0).standard_normal(Ac.shape[0])
+    z = _vcycle(mg, r, lev=len(mg[0]))
+    ref = np.linalg.solve(Ac.toarray(), r)
+    assert np.linalg.norm(z - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_energy_unit_ball(grid256):
