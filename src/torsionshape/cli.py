@@ -148,15 +148,6 @@ def _weight_from_spec(spec):
         raise ConfigParse(f"bad weight spec: {e}") from e
 
 
-def _check_symmetry_boxes(names, grid):
-    """A symmetry check mirrors the domain's nodes, so its axis must be one
-    the box is symmetric about; a run refuses the check before it starts."""
-    for axis, name in enumerate(("symmetry_x", "symmetry_y")):
-        if name in names and not grid.symmetric(axis):
-            raise ConfigParse(f"check {name} needs a box symmetric about "
-                              f"{'xy'[axis]} = 0, got {list(grid.box)}")
-
-
 def _run_checks(names, d, w, g1=None, u=None):
     return [_CHECKS[name](d, w, g1, u) for name in names]
 
@@ -165,7 +156,6 @@ def cmd_solve(cfg, quiet):
     w = _weight_from_spec(cfg["weight"])
     grid = _grid_from_spec(cfg["grid"])
     tol_residual = cfg["optimizer"]["tol_residual"]
-    _check_symmetry_boxes(cfg["checks"], grid)
     g1 = build_domain(grid, Sublevel(w, 1.0))
     trace = optimize(w, g1)
     d = trace.final_domain
@@ -228,7 +218,6 @@ def cmd_verify(cfg, domain_path):
         d = load_domain(domain_path)
     except (OSError, ValueError, IndexError, TorsionShapeError) as e:
         raise ConfigParse(f"cannot read domain {domain_path}: {e}") from e
-    _check_symmetry_boxes(cfg["checks"], d.grid)
     reports = _run_checks(cfg["checks"], d, w)
     out = {"schema": 1, "checks": [r.to_json() for r in reports]}
     print(_dump_json(out), end="")
@@ -321,7 +310,8 @@ def build_parser():
     for name in ("solve", "sweep", "derivcheck"):
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None)
-        sp.add_argument("--out", default=None)
+        if name != "derivcheck":  # derivcheck only prints
+            sp.add_argument("--out", default=None)
         sp.add_argument("--override", action="append", default=[],
                         metavar="KEY=VALUE")
     so = sub.add_parser("oracle")

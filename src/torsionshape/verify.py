@@ -5,9 +5,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .domain import (Sublevel, build_domain, connected_components,
-                     hausdorff_distance, interp_bilinear, reflect,
-                     scale_domain)
+from .domain import (Sublevel, _hausdorff_points, build_domain,
+                     connected_components, interp_bilinear, scale_domain)
 from .errors import AlphaOne
 from .oracle import phi_degree
 from .torsion import energy_J, phi_constraint, solve_torsion
@@ -134,9 +133,16 @@ def check_sandwich(d, w, g1=None):
 
 
 def check_symmetry(d, axis):
-    """Hausdorff distance to the mirror image about ``axis``, within 2h."""
+    """Hausdorff distance between the boundary samples and their mirror
+    image about the hyperplane x_axis = 0, within 2h.
+
+    The front is mirrored, not the grid, so the check runs on any box.
+    """
     tol = 2 * d.grid.h
-    dist = hausdorff_distance(d, reflect(d, axis))
+    pts = d.samples.points
+    mirror = pts.copy()
+    mirror[:, axis] = -mirror[:, axis]
+    dist = _hausdorff_points(pts, mirror)
     return CheckReport(f"symmetry_{'xy'[axis]}", bool(dist <= tol),
                        measured=dist, tol=tol, witness={"axis": axis})
 

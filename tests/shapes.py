@@ -1,6 +1,7 @@
 """Test domains and the rearrangement, inclusion and mode-fit checks that
-only the tests use: random starshaped blobs, Steiner symmetrization,
-inclusion and the Fourier modes of a boundary function."""
+only the tests use: random starshaped blobs, Steiner symmetrization, the
+mirror image on the grid, inclusion and the Fourier modes of a boundary
+function."""
 
 import numpy as np
 
@@ -62,6 +63,19 @@ def steiner_symmetrize(d, axis):
     # the tent field |coord| - L/2 is itself a valid level set; skipping a
     # reinitialization keeps the per-column volume exact
     return Domain(grid, out)
+
+
+def reflect(d, axis):
+    """Mirror image about the hyperplane x_axis = 0, by flipping ``ls`` on
+    the grid: the reference for ``check_symmetry``'s mirrored samples.  The
+    box must be symmetric about the hyperplane, so that the flip maps the
+    grid onto itself."""
+    lo, hi = d.grid.box[axis], d.grid.box[axis + 2]
+    if abs(lo + hi) > 1e-9 * (hi - lo):
+        raise GridMismatch("reflection needs a box symmetric about the axis")
+    ls = d.ls[:, ::-1] if axis == 1 else d.ls[::-1, :]
+    return Domain(d.grid, np.ascontiguousarray(ls),
+                  is_signed_distance=d.is_signed_distance)
 
 
 def check_inclusion(inner, outer, slack=None):

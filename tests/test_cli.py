@@ -260,36 +260,49 @@ def test_oracle_bad_arguments_exit_2(capsys, args):
     assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
-@pytest.mark.parametrize("command", ["solve", "verify"])
-@pytest.mark.parametrize("check,nx,ny,box",
-                         [("symmetry_x", 80, 64, [-2.0, -2.0, 3.0, 2.0]),
-                          ("symmetry_y", 64, 80, [-2.0, -2.0, 2.0, 3.0])],
-                         ids=["symmetry_x", "symmetry_y"])
-def test_symmetry_check_on_lopsided_box_exits_2(tmp_path, capsys, monkeypatch,
-                                                command, check, nx, ny, box):
-    # a symmetry check mirrors the nodes across its axis, so a box that is
-    # not symmetric about that axis is refused before any flow or check runs
-    def no_run(*args, **kwargs):
-        raise AssertionError(f"{command} ran a flow or a check")
+# boxes that are not symmetric about x = 0 (wide) or y = 0 (tall); a
+# symmetry check mirrors the front, not the grid, so it runs on either
+LOPSIDED_BOXES = [(80, 64, [-2.0, -2.0, 3.0, 2.0]),
+                  (64, 80, [-2.0, -2.0, 2.0, 3.0])]
+SYMMETRY_CHECKS = ["basic", "symmetry_x", "symmetry_y"]
 
-    monkeypatch.setattr(cli, "optimize", no_run)
-    monkeypatch.setattr(cli, "_run_checks", no_run)
-    args = ["--override", f'checks=["basic","{check}"]']
-    if command == "solve":
-        args += ["--out", str(tmp_path / "o"),
-                 "--override", f"grid.nx={nx}", "--override", f"grid.ny={ny}",
-                 "--override", f"grid.box={json.dumps(box)}"]
-    else:
-        path = tmp_path / "domain.csv"
+
+@pytest.mark.parametrize("nx,ny,box", LOPSIDED_BOXES, ids=["wide", "tall"])
+def test_solve_symmetry_checks_on_lopsided_box(tmp_path, nx, ny, box):
+    out = tmp_path / "run"
+    rc = main(["--quiet", "solve", "--out", str(out),
+               "--override", "checks=" + json.dumps(SYMMETRY_CHECKS),
+               "--override", f"grid.nx={nx}", "--override", f"grid.ny={ny}",
+               "--override", f"grid.box={json.dumps(box)}"])
+    assert rc == 0
+    rep = _read_report(out)
+    assert [c["name"] for c in rep["checks"]] == SYMMETRY_CHECKS
+    assert all(c["pass"] for c in rep["checks"])
+
+
+@pytest.mark.parametrize("nx,ny,box", LOPSIDED_BOXES, ids=["wide", "tall"])
+def test_verify_symmetry_checks_on_lopsided_box(tmp_path, capsys, nx, ny,
+                                                box):
+    grid = GridSpec(nx, ny, tuple(box))
+    runs = {}
+    for name, seed in (("centred", Ball(radius=1.0)),
+                       ("offset", Ball(center=(0.0, 0.5), radius=0.8))):
+        path = tmp_path / f"{name}.csv"
         with open(path, "w") as fh:
-            save_domain(build_domain(GridSpec(nx, ny, tuple(box)),
-                                     Ball(radius=1.0)), fh)
-        args += ["--domain", str(path)]
-    assert main(["--quiet", command, *args]) == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "config"
-    assert check in err["message"]
-    assert not (tmp_path / "o").exists()
+            save_domain(build_domain(grid, seed), fh)
+        rc = main(["--quiet", "verify", "--domain", str(path),
+                   "--override", "checks=" + json.dumps(SYMMETRY_CHECKS)])
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        runs[name] = rc, {c["name"]: c for c in checks}
+    rc, checks = runs["centred"]
+    assert rc == 0
+    assert all(c["pass"] for c in checks.values())
+    rc, checks = runs["offset"]
+    assert rc == 1
+    assert checks["basic"]["pass"] and checks["symmetry_x"]["pass"]
+    assert not checks["symmetry_y"]["pass"]
+    assert checks["symmetry_y"]["measured"] == pytest.approx(1.0,
+                                                             abs=2 * grid.h)
 
 
 def test_verify_subcommand_pass_and_fail(tmp_path, capsys):
@@ -363,6 +376,14 @@ def test_derivcheck_subcommand(capsys):
     assert rc == 0
     assert out["pass"]
     assert out["rows"][0]["errJ"] <= 0.02
+
+
+def test_derivcheck_out_is_a_usage_error(capsys):
+    # derivcheck only prints, so it takes no --out
+    with pytest.raises(SystemExit) as exc:
+        main(["--quiet", "derivcheck", "--out", "x"])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("radii", ['"x"', "[-1]", "[true]", "[]", "[0.005]",

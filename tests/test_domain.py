@@ -5,15 +5,14 @@ import io
 import numpy as np
 import pytest
 
-from shapes import random_starshaped_blob, steiner_symmetrize
+from shapes import random_starshaped_blob, reflect, steiner_symmetrize
 from torsionshape import (Ball, Domain, Ellipse, GridSpec, Sublevel,
                           boundary_samples, build_domain, hausdorff_distance,
                           load_domain, reinitialize, save_domain, scale_domain,
                           volume)
 from torsionshape import domain as domain_mod
 from torsionshape.domain import (Field, connected_components,
-                                 interp_bilinear, reflect, save_boundary,
-                                 write_csv)
+                                 interp_bilinear, save_boundary, write_csv)
 from torsionshape.errors import EmptyDomain, GridMismatch, NonFinite, OutOfBox
 from torsionshape.torsion import solve_torsion
 from torsionshape.weight import radial_weight

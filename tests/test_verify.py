@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from shapes import check_inclusion, random_starshaped_blob
-from torsionshape import (Ball, Ellipse, Sublevel, build_domain, kernels,
-                          scale_domain, verify)
+from shapes import check_inclusion, random_starshaped_blob, reflect
+from torsionshape import (Ball, Ellipse, GridSpec, Sublevel, build_domain,
+                          hausdorff_distance, kernels, optimize, scale_domain,
+                          verify)
 from torsionshape.domain import Field
 from torsionshape.errors import AlphaOne, GridMismatch
 from torsionshape.verify import (check_basic, check_convex, check_radial_ball,
@@ -152,6 +153,31 @@ def test_symmetry_offset_ball_fails(grid128):
     rep = check_symmetry(d, 1)
     assert not rep.passed
     assert rep.measured == pytest.approx(1.0, abs=2 * grid128.h)
+
+
+@pytest.fixture(scope="module")
+def symmetric_box_domains(pnorm_run, grid128):
+    """Domains on dyadic boxes symmetric about both axes: the 256² pnorm
+    p = 4 answer, the radial k = 0.7 answer on a 128x96 box and a ball off
+    both axes."""
+    w = radial_weight(0.7, 2.0)
+    grid = GridSpec(128, 96, (-2.0, -1.5, 2.0, 1.5))
+    lopsided = optimize(w, build_domain(grid, Sublevel(w, 1.0))).final_domain
+    offset = build_domain(grid128, Ball(center=(0.3, -0.5), radius=0.8))
+    return {"pnorm-256": pnorm_run.domain, "radial-128x96": lopsided,
+            "offset-ball": offset}
+
+
+@pytest.mark.parametrize("axis", [0, 1], ids=["x", "y"])
+@pytest.mark.parametrize("name", ["pnorm-256", "radial-128x96",
+                                  "offset-ball"])
+def test_symmetry_mirrored_samples_match_reflected_domain(
+        symmetric_box_domains, name, axis):
+    # on a symmetric dyadic box, mirroring the samples gives the bits of
+    # walking the front of the domain flipped on the grid
+    d = symmetric_box_domains[name]
+    assert (check_symmetry(d, axis).measured
+            == hausdorff_distance(d, reflect(d, axis)))
 
 
 def test_radial_ball_exact_ball_passes(grid128):
