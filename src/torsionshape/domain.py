@@ -114,12 +114,18 @@ class Domain:
         ls.setflags(write=False)
 
     @cached_property
+    def cells(self):
+        """``kernels.mixed_cells(ls)``, the cut cells that the quadrature,
+        the volume and the boundary samples all read."""
+        cells = kernels.mixed_cells(self.ls)
+        for a in cells:
+            a.setflags(write=False)
+        return cells
+
+    @cached_property
     def quadrature(self):
         """(weights, points): areas and centroids of the cells with area > 0."""
-        areas, cxs, cys = cell_quadrature(self)
-        mask = areas > 0.0
-        weights = areas[mask]
-        points = np.stack([cxs[mask], cys[mask]], axis=-1)
+        weights, points = cell_quadrature(self)
         weights.setflags(write=False)
         points.setflags(write=False)
         return weights, points
@@ -198,20 +204,37 @@ def build_domain(grid, seed):
 # --- geometric primitives ---------------------------------------------------
 
 def cell_quadrature(d):
-    """Per-cell inside areas and centroids (global coordinates)."""
-    areas, cxs, cys = kernels.cell_geometry(d.ls, d.grid.h)
+    """(weights, points): the inside areas of the cells with area > 0, in C
+    order, and their centroids in global coordinates.
+
+    A full cell's centroid is its centre, ``(i + 0.5) h + x0``; a cut
+    cell's is ``i h + gx + x0``, with ``gx`` its offset in the cell.
+    """
+    h = d.grid.h
     x0, y0, _, _ = d.grid.box
-    return areas, cxs + x0, cys + y0
+    areas, cx, cy = kernels.cell_geometry(d.ls, h, d.cells)
+    mask = areas > 0.0
+    ci, cj = kernels.nonzero_2d(mask)
+    xs = (ci + 0.5) * h + x0
+    ys = (cj + 0.5) * h + y0
+    i, j = d.cells[:2]
+    cut = areas[i, j] > 0.0
+    n1 = areas.shape[1]
+    at = np.searchsorted(ci * n1 + cj, i[cut] * n1 + j[cut])
+    xs[at] = cx[cut] + x0
+    ys[at] = cy[cut] + y0
+    return areas[mask], np.stack([xs, ys], axis=-1)
 
 
 def volume(d):
-    areas, _, _ = kernels.cell_geometry(d.ls, d.grid.h)
+    areas, _, _ = kernels.cell_geometry(d.ls, d.grid.h, d.cells)
     return float(np.sum(areas))
 
 
 def _lerp2(f00, f10, f01, f11, tx, ty):
     """Bilinear blend of a cell's corner values, as nested linear steps
-    ``a + t (b - a)``: four equal corners give exactly their value."""
+    ``a + t (b - a)``: four equal nonzero corners give exactly their value
+    (four ``-0.0`` corners give ``+0.0``)."""
     lo = f00 + tx * (f10 - f00)
     hi = f01 + tx * (f11 - f01)
     return lo + ty * (hi - lo)
@@ -253,7 +276,7 @@ def boundary_samples(d):
     ls = d.ls
     grid = d.grid
     h = grid.h
-    i, j, v, cross, t = kernels.mixed_cells(ls)
+    i, j, v, cross, t = d.cells
     # walking each cell CCW, an exit crossing (inside -> outside) is joined
     # to the next crossing of the cell, the entry that closes the chord
     c, k0 = np.nonzero(cross & (v < 0.0))
@@ -300,10 +323,13 @@ def boundary_samples(d):
 def reinitialize(d):
     """Rebuild ls as a signed distance in a tube of ``REINIT_BAND_CELLS`` cells.
 
-    The narrow-band Jacobi eikonal solve makes ``|ls|`` the exact distance
-    to the front where it is below ``REINIT_BAND_CELLS * h`` and clamps it
-    to that value beyond, keeping every node's sign.  Every consumer reads
-    ``ls`` near the front or only its sign.  The solve is seeded at the
+    The narrow-band Jacobi eikonal solve makes ``|ls|`` the first-order
+    upwind (Godunov) eikonal solution seeded at the flip nodes where it is
+    below ``REINIT_BAND_CELLS * h``, and clamps it to that value beyond,
+    keeping every node's sign.  It is not the exact distance: on the
+    geometry benchmark's reference curve at 384², it is up to 0.024 h off
+    the exact signed distance on the nodes within 3h of the front.  Every
+    consumer reads ``ls`` near the front or only its sign.  The solve is seeded at the
     nodes with a neighbour across the front, with ``|ls| / |grad ls|``; the
     gradient is taken at those nodes alone.
     """
@@ -312,7 +338,7 @@ def reinitialize(d):
     ls = d.ls
     inside = ls < 0.0
     flip = kernels.neighbour_differs(inside)
-    fi, fj = np.nonzero(flip)
+    fi, fj = kernels.nonzero_2d(flip)
     gn = np.clip(np.hypot(*_central_gradient(ls, h, fi, fj)), 0.2, 5.0)
     dist = np.full(grid.shape, np.inf)
     dist[fi, fj] = np.abs(ls[fi, fj]) / gn
@@ -326,19 +352,28 @@ def scale_domain(d, t):
 
     The same values as ``interp_bilinear`` at ``grid.nodes() / t``: a node's
     ``x/t`` depends on its row alone and ``y/t`` on its column alone, so each
-    axis is split into cells once and the corners gathered by rows and
-    columns.
+    axis is split into cells once.  A source cell whose four corners hold
+    one nonzero value resamples exactly to it (see ``_lerp2``), as every
+    cell on a redistanced ``ls``'s plateau does, so only the nodes in the
+    other cells are blended.  A cell with a zero corner is blended too: a
+    flat ``-0.0`` cell resamples to ``+0.0``, as ``-0.0 + 0.0`` is ``+0.0``.
     """
     if t <= 0:
         raise ValueError("scale factor must be > 0")
     grid = d.grid
+    f = d.ls
     i, tx = grid.split(grid.xs / t, 0)
     j, ty = grid.split(grid.ys / t, 1)
-    lo, hi = d.ls[i], d.ls[i + 1]
-    ls = _lerp2(lo[:, j], hi[:, j], lo[:, j + 1], hi[:, j + 1],
-                tx[:, None], ty[None, :])
+    ls = f[i][:, j]
+    f00 = f[:-1, :-1]
+    varies = ((f00 != f[1:, :-1]) | (f00 != f[:-1, 1:]) | (f00 != f[1:, 1:])
+              | (f00 == 0.0))
+    a, b = kernels.nonzero_2d(varies[i][:, j])
+    ia, jb = i[a], j[b]
+    ls[a, b] = _lerp2(f[ia, jb], f[ia + 1, jb], f[ia, jb + 1],
+                      f[ia + 1, jb + 1], tx[a], ty[b])
     if d.is_signed_distance:
-        ls = t * ls
+        ls *= t
     return Domain(grid, ls, is_signed_distance=d.is_signed_distance)
 
 

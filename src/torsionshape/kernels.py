@@ -9,7 +9,6 @@ interpolant of the nodal level set along the cell edges.
 import math
 
 import numpy as np
-from scipy import ndimage
 
 USE_NUMBA = False  # no compiled kernels; perfbench/worker.py still records it
 
@@ -43,6 +42,13 @@ def _one_sided_diffs(ls, h):
         out += [np.concatenate([fwd.take([0], axis), fwd], axis),
                 np.concatenate([fwd, fwd.take([-1], axis)], axis)]
     return out
+
+
+def nonzero_2d(mask):
+    """``np.nonzero`` of a 2-D mask, the same index arrays, taken from its
+    flat indices: 3 to 12 times faster than numpy's 2-D path on the masks
+    of a 384² domain."""
+    return np.divmod(np.flatnonzero(mask), mask.shape[1])
 
 
 def neighbour_differs(a):
@@ -90,6 +96,21 @@ def _eikonal_round(p, idx, stride, h):
     p[idx] = np.minimum(p[idx], new)
 
 
+def grow_4(mask, steps):
+    """The nodes within 4-neighbour graph distance ``steps`` of ``mask``,
+    off-grid nodes counting as outside: ``steps`` shift-ORs, each of the
+    previous round's mask."""
+    out = mask.copy()
+    prev = np.empty_like(out)
+    for _ in range(steps):
+        np.copyto(prev, out)
+        out[1:, :] |= prev[:-1, :]
+        out[:-1, :] |= prev[1:, :]
+        out[:, 1:] |= prev[:, :-1]
+        out[:, :-1] |= prev[:, 1:]
+    return out
+
+
 def eikonal_solve(d, frozen, h, band):
     """In-place unsigned distance in a tube; ``frozen`` nodes keep their values.
 
@@ -130,8 +151,8 @@ def eikonal_solve(d, frozen, h, band):
     box = (slice(max(i[0] - reach, 0), i[-1] + reach + 1),
            slice(max(j[0] - reach, 0), j[-1] + reach + 1))
     sub = d[box]
-    tube = ndimage.binary_dilation(seed[box], iterations=reach) & ~frozen[box]
-    ti, tj = np.nonzero(tube)
+    tube = grow_4(seed[box], reach) & ~frozen[box]
+    ti, tj = nonzero_2d(tube)
     p = np.pad(sub, 1, constant_values=cap).ravel()
     stride = sub.shape[1] + 2
     idx = (ti + 1) * stride + tj + 1
@@ -161,7 +182,7 @@ def mixed_cells(ls):
     inside = ls < 0.0
     c = (inside[:-1, :-1].astype(np.int8) + inside[1:, :-1] + inside[1:, 1:]
          + inside[:-1, 1:])
-    i, j = np.nonzero((c > 0) & (c < 4))
+    i, j = nonzero_2d((c > 0) & (c < 4))
     v = np.stack([ls[i, j], ls[i + 1, j], ls[i + 1, j + 1], ls[i, j + 1]], axis=1)
     nxt = np.roll(v, -1, axis=1)
     cross = (v < 0.0) != (nxt < 0.0)
@@ -169,23 +190,21 @@ def mixed_cells(ls):
     return i, j, v, cross, t
 
 
-def cell_geometry(ls, h):
-    """Per-cell area of {ls < 0} and its centroid, in box-local coordinates.
+def cell_geometry(ls, h, cells):
+    """Per-cell area of {ls < 0}, and the centroids of the cut cells.
 
-    A cut cell's polygon lists, for k = 0..3, corner k (if inside, or on the
-    interface between two closed-inside neighbours, which keeps grid-aligned
-    boundaries exact) and then the crossing on edge k -> k+1.  Its area and
-    centroid come from the shoelace formula, summed vertex by vertex.
+    ``cells`` is ``mixed_cells(ls)``.  Returns ``(areas, cx, cy)``: the
+    area of every cell, shape ``(n0 - 1, n1 - 1)``, and the box-local
+    centroids of the cut cells, in ``cells``' order.  A cut cell's polygon
+    lists, for k = 0..3, corner k (if inside, or on the interface between
+    two closed-inside neighbours, which keeps grid-aligned boundaries exact)
+    and then the crossing on edge k -> k+1.  Its area and centroid come from
+    the shoelace formula, summed vertex by vertex.
     """
     inside = ls < 0.0
     full = inside[:-1, :-1] & inside[1:, :-1] & inside[1:, 1:] & inside[:-1, 1:]
-    n0, n1 = ls.shape
-    ci = np.arange(n0 - 1)[:, None]
-    cj = np.arange(n1 - 1)[None, :]
     areas = np.where(full, h * h, 0.0)
-    cxs = (ci + 0.5) * h * np.ones_like(areas)
-    cys = (cj + 0.5) * h * np.ones_like(areas)
-    i, j, v, cross, t = mixed_cells(ls)
+    i, j, v, cross, t = cells
 
     # 8 slots per cell: corner k at slot 2k, crossing on edge k at 2k + 1
     vm, vp = np.roll(v, 1, axis=1), np.roll(v, -1, axis=1)
@@ -232,6 +251,4 @@ def cell_geometry(ls, h):
         gx = np.where(sliver, mx / m, sx / (6.0 * area))
         gy = np.where(sliver, my / m, sy / (6.0 * area))
     areas[i, j] = np.maximum(area, 0.0)
-    cxs[i, j] = i * h + gx
-    cys[i, j] = j * h + gy
-    return areas, cxs, cys
+    return areas, i * h + gx, j * h + gy

@@ -1,7 +1,7 @@
 """Test domains and the rearrangement, inclusion and mode-fit checks that
-only the tests use: random starshaped blobs, Steiner symmetrization, the
-mirror image on the grid, inclusion and the Fourier modes of a boundary
-function."""
+only the tests use: random starshaped blobs and fields, Steiner
+symmetrization, the mirror image on the grid, inclusion and the Fourier
+modes of a boundary function."""
 
 import numpy as np
 
@@ -21,6 +21,19 @@ def random_starshaped_blob(grid, rng, r0=1.0, amp=0.25, n_modes=4):
     for m in range(1, n_modes + 1):
         rb += coef[0, m - 1] * np.cos(m * theta) + coef[1, m - 1] * np.sin(m * theta)
     return build_domain(grid, Field(r - r0 * np.maximum(rb, 0.2)))
+
+
+def starshaped_field(X, Y, rng, centre, scale):
+    """``(r - r_b(theta))`` times a random factor, about ``centre``: r_b has
+    random modes 2..5 like the geometry benchmark's curves, so the field is
+    no signed distance and its front runs along the diagonals too."""
+    x, y = (X - centre[0]) / scale, (Y - centre[1]) / scale
+    theta = np.arctan2(y, x)
+    rb = np.ones_like(theta)
+    for m in range(2, 6):
+        c, s = rng.uniform(-0.15, 0.15, 2) / m
+        rb += c * np.cos(m * theta) + s * np.sin(m * theta)
+    return (np.hypot(x, y) - rb) * rng.uniform(0.3, 3.0)
 
 
 def fourier_modes(points, ds, values, modes=6):
@@ -50,7 +63,7 @@ def steiner_symmetrize(d, axis):
     """
     grid = d.grid
     h = grid.h
-    areas, _, _ = kernels.cell_geometry(d.ls, h)
+    areas, _, _ = kernels.cell_geometry(d.ls, h, d.cells)
     col = np.sum(areas, axis=1 if axis == 1 else 0) / h
     coords = grid.ys if axis == 1 else grid.xs
     lengths = np.zeros(len(col) + 1)

@@ -5,17 +5,21 @@ import io
 import numpy as np
 import pytest
 
-from shapes import random_starshaped_blob, reflect, steiner_symmetrize
+import wholebox
+from shapes import (random_starshaped_blob, reflect, starshaped_field,
+                    steiner_symmetrize)
 from torsionshape import (Ball, Domain, Ellipse, GridSpec, Sublevel,
                           boundary_samples, build_domain, hausdorff_distance,
                           load_domain, reinitialize, save_domain, scale_domain,
                           volume)
 from torsionshape import domain as domain_mod
+from torsionshape import kernels
 from torsionshape.domain import (Field, connected_components,
                                  interp_bilinear, save_boundary, write_csv)
 from torsionshape.errors import EmptyDomain, GridMismatch, NonFinite, OutOfBox
 from torsionshape.torsion import solve_torsion
 from torsionshape.weight import radial_weight
+from wholebox import same_bits
 
 BOX = (-2.0, -2.0, 2.0, 2.0)
 
@@ -142,6 +146,84 @@ def test_scale_domain_matches_bilinear_resampling(name, signed, t):
     out = scale_domain(d, t)
     assert out.is_signed_distance == signed
     assert np.array_equal(out.ls, ref)
+
+
+def _random_field(grid, seed):
+    """A random starshaped field about an off-centre point, with no plateau."""
+    X, Y = np.moveaxis(grid.nodes(), -1, 0)
+    return starshaped_field(X, Y, np.random.default_rng([seed, grid.nx, grid.ny]),
+                            (0.15, -0.1), 0.6)
+
+
+def _aligned_square(zero=0.0):
+    """max(|x|, |y|) < 1 at 32² on [-2, 2]²: the nodes on x, y = +-1 hold
+    ``zero``, and with ``zero = -0.0`` so does a 5x5 hole at the centre,
+    whose cells are flat at -0.0."""
+    grid = GridSpec(32, 32, BOX)
+    pts = grid.nodes()
+    ls = np.maximum(np.abs(pts[..., 0]), np.abs(pts[..., 1])) - 1.0
+    ls[ls == 0.0] = zero
+    if np.signbit(zero):
+        ls[14:19, 14:19] = zero
+    return Domain(grid, ls)
+
+
+# the cases the front-only quadrature and homothety are checked on against
+# their whole-box forms: redistanced and raw random fields on every sweep
+# grid, and the grid-aligned square
+WHOLE_BOX_CASES = [f"{kind}/{name}/seed{seed}" for name in SWEEP_GRIDS
+                   for kind in ("sdf", "raw") for seed in (0, 1)]
+WHOLE_BOX_CASES += ["square-32", "square-32-signed-zeros"]
+
+
+def _whole_box_case(case):
+    if case.startswith("square"):
+        return _aligned_square(-0.0 if case.endswith("zeros") else 0.0)
+    kind, name, seed = case.split("/")
+    grid = SWEEP_GRIDS[name]
+    d = Domain(grid, _random_field(grid, int(seed[4:])))
+    return reinitialize(d) if kind == "sdf" else d
+
+
+@pytest.mark.parametrize("case", WHOLE_BOX_CASES)
+def test_quadrature_and_volume_match_whole_box(case):
+    d = _whole_box_case(case)
+    weights, points = d.quadrature
+    ref_weights, ref_points = wholebox.quadrature(d)
+    assert len(weights) > 100
+    assert same_bits(weights, ref_weights)
+    assert same_bits(points, ref_points)
+    areas, _, _ = wholebox.cell_geometry(d.ls, d.grid.h)
+    assert same_bits(volume(d), float(np.sum(areas)))
+
+
+@pytest.mark.parametrize("t", [0.8, 0.9, 1.1, 1.25])
+@pytest.mark.parametrize("case", WHOLE_BOX_CASES)
+def test_scale_domain_matches_whole_box(case, t):
+    d = _whole_box_case(case)
+    out = scale_domain(d, t)
+    ref = wholebox.scale_domain(d, t)
+    assert out.is_signed_distance == ref.is_signed_distance
+    assert same_bits(out.ls, ref.ls)
+
+
+def test_one_domain_finds_its_cut_cells_once(grid128, monkeypatch):
+    d = reinitialize(Domain(grid128, _random_field(grid128, 0)))
+    calls = []
+    find = kernels.mixed_cells
+
+    def counted(ls):
+        calls.append(1)
+        return find(ls)
+
+    monkeypatch.setattr(kernels, "mixed_cells", counted)
+    for _ in range(2):
+        assert len(d.samples) > 0 and len(d.quadrature[0]) > 0
+        assert volume(d) > 0.0
+    assert len(calls) == 1
+    for a in d.cells:
+        with pytest.raises(ValueError):
+            a[0] = 0
 
 
 def test_out_of_box_names_grid_margin_and_sides():

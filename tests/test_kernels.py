@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+import wholebox
+from shapes import starshaped_field
 from torsionshape import domain, kernels
 from torsionshape.domain import (Domain, GridSpec, boundary_samples,
                                  reinitialize)
+from wholebox import same_bits
 
 
 @pytest.fixture(scope="module")
@@ -134,17 +137,20 @@ def test_eikonal_solve_on_the_box_matches_whole_grid(centre, radius, band):
     assert np.array_equal(kernels.eikonal_solve(dist, frozen, h, band), ref)
 
 
-def _starshaped_ls(X, Y, rng, centre, scale):
-    """``(r - r_b(theta))`` times a random factor, about ``centre``: r_b has
-    random modes 2..5 like the geometry benchmark's curves, so the field is
-    no signed distance and its front runs along the diagonals too."""
-    x, y = (X - centre[0]) / scale, (Y - centre[1]) / scale
-    theta = np.arctan2(y, x)
-    rb = np.ones_like(theta)
-    for m in range(2, 6):
-        c, s = rng.uniform(-0.15, 0.15, 2) / m
-        rb += c * np.cos(m * theta) + s * np.sin(m * theta)
-    return (np.hypot(x, y) - rb) * rng.uniform(0.3, 3.0)
+def _case_ls(case, rng):
+    """(ls, h) on the 96² grid on [-2, 2]²: a random starshaped field that is
+    centred, that lies in a corner, or that has two components."""
+    xs = np.linspace(-2.0, 2.0, 97)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    if case == "centred":
+        ls = starshaped_field(X, Y, rng, (0.0, 0.0), 1.0)
+    elif case == "clipped":
+        ls = starshaped_field(X, Y, rng, (-1.55, 1.5), 0.3)
+    else:
+        ls = np.minimum(starshaped_field(X, Y, rng, (-0.9, 0.1), 0.6),
+                        starshaped_field(X, Y, rng, (0.8, -0.4), 0.7))
+        assert ndimage.label(ls < 0.0)[1] == 2
+    return ls, xs[1] - xs[0]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -155,18 +161,7 @@ def _starshaped_ls(X, Y, rng, centre, scale):
     ("centred", 192),      # band = 2n: the tube covers the grid
 ])
 def test_eikonal_solve_matches_whole_grid_on_random_fields(case, band, seed):
-    xs = np.linspace(-2.0, 2.0, 97)
-    h = xs[1] - xs[0]
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    rng = np.random.default_rng([seed, len(case), band])
-    if case == "centred":
-        ls = _starshaped_ls(X, Y, rng, (0.0, 0.0), 1.0)
-    elif case == "clipped":
-        ls = _starshaped_ls(X, Y, rng, (-1.55, 1.5), 0.3)
-    else:
-        ls = np.minimum(_starshaped_ls(X, Y, rng, (-0.9, 0.1), 0.6),
-                        _starshaped_ls(X, Y, rng, (0.8, -0.4), 0.7))
-        assert ndimage.label(ls < 0.0)[1] == 2
+    ls, h = _case_ls(case, np.random.default_rng([seed, len(case), band]))
     frozen = kernels.neighbour_differs(ls < 0.0)
     dist = np.full(ls.shape, np.inf)
     dist[frozen] = np.abs(ls[frozen])
@@ -175,13 +170,35 @@ def test_eikonal_solve_matches_whole_grid_on_random_fields(case, band, seed):
     assert np.array_equal(kernels.eikonal_solve(dist, frozen, h, band), ref)
 
 
+@pytest.mark.parametrize("shape, frac", [((97, 97), 0.0), ((97, 97), 0.01),
+                                          ((129, 97), 0.3), ((1, 5), 1.0)])
+def test_nonzero_2d_matches_np_nonzero(shape, frac):
+    mask = np.random.default_rng(3).random(shape) < frac
+    for got, ref in zip(kernels.nonzero_2d(mask), np.nonzero(mask)):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("steps", [1, 12, 40])
+@pytest.mark.parametrize("case", ["centred", "clipped", "two components"])
+def test_grow_4_matches_binary_dilation(case, steps):
+    ls, _ = _case_ls(case, np.random.default_rng([7, len(case)]))
+    seed = kernels.neighbour_differs(ls < 0.0)
+    ref = ndimage.binary_dilation(seed, iterations=steps)
+    assert np.count_nonzero(ref) > np.count_nonzero(seed)
+    assert np.array_equal(kernels.grow_4(seed, steps), ref)
+    # and on a box the grown tube reaches the edge of, as eikonal_solve's
+    box = (slice(20, 80), slice(5, 60))
+    assert np.array_equal(kernels.grow_4(seed[box], steps),
+                          ndimage.binary_dilation(seed[box], iterations=steps))
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_reinitialize_matches_full_grid_reference(seed):
     # |grad ls| from np.gradient over the whole grid, then the eikonal solve
     # over the whole grid
     grid = GridSpec(96, 96, (-2.0, -2.0, 2.0, 2.0))
     X, Y = np.moveaxis(grid.nodes(), -1, 0)
-    ls = _starshaped_ls(X, Y, np.random.default_rng(seed), (0.1, -0.2), 1.0)
+    ls = starshaped_field(X, Y, np.random.default_rng(seed), (0.1, -0.2), 1.0)
     h = grid.h
     flip = kernels.neighbour_differs(ls < 0.0)
     gx, gy = np.gradient(ls, h)
@@ -220,15 +237,19 @@ def test_banded_eikonal_rounds_do_not_grow_with_n(n, monkeypatch):
 
 def test_cell_geometry_ball_area(ball_ls):
     ls, h = ball_ls
-    areas, _, _ = kernels.cell_geometry(ls, h)
+    areas, _, _ = kernels.cell_geometry(ls, h, kernels.mixed_cells(ls))
     assert np.sum(areas) == pytest.approx(np.pi * 1.1 ** 2, rel=1e-3)
 
 
 def test_cell_geometry_linear_field_is_exact_clip():
     ls, xs, h, (a, b, c) = _linear_ls()
-    areas, cxs, cys = kernels.cell_geometry(ls, h)
-    i, j = kernels.mixed_cells(ls)[:2]
+    cells = kernels.mixed_cells(ls)
+    areas, cx, cy = kernels.cell_geometry(ls, h, cells)
+    ref_areas, cxs, cys = wholebox.cell_geometry(ls, h)
+    i, j = cells[:2]
     assert len(i) > 40
+    assert same_bits(areas, ref_areas)
+    assert same_bits(cx, cxs[i, j]) and same_bits(cy, cys[i, j])
     for ii, jj in zip(i, j):
         # cell_geometry works in box-local coordinates
         area, mx, my = _clip_square(xs[ii], xs[jj], h, a, b, c)
@@ -247,7 +268,7 @@ def _saddle_domain():
 def test_saddle_cell_area_and_chords():
     d = _saddle_domain()
     h = d.grid.h
-    areas, _, _ = kernels.cell_geometry(d.ls, h)
+    areas, _, _ = kernels.cell_geometry(d.ls, h, d.cells)
     assert areas[8, 8] == pytest.approx(0.75 * h * h, rel=1e-14)
     s = boundary_samples(d)
     x0, y0 = d.grid.xs[8], d.grid.ys[8]
@@ -269,6 +290,6 @@ def test_cell_geometry_grid_aligned_square_is_exact():
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     ls = np.maximum(np.abs(X), np.abs(Y)) - 1.0
     h = xs[1] - xs[0]
-    areas, _, _ = kernels.cell_geometry(ls, h)
+    areas, _, _ = kernels.cell_geometry(ls, h, kernels.mixed_cells(ls))
     assert np.sum(areas) == 4.0
     assert set(np.unique(areas)) == {0.0, h * h}

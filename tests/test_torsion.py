@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import wholebox
 from shapes import random_starshaped_blob, steiner_symmetrize
 from torsionshape import (Ball, Domain, Ellipse, GridSpec, boundary_samples,
                           build_domain, energy_J, objective_scale_invariant,
@@ -489,11 +490,13 @@ def test_objective_scale_invariance(grid256):
 def test_cached_geometry_equals_fresh_computation(grid64):
     d = build_domain(grid64, Ellipse(1.3, 0.7))
     u = solve_torsion(d)
-    areas, cxs, cys = cell_quadrature(d)
+    areas, cxs, cys = wholebox.cell_quadrature(d)
     mask = areas > 0.0
     weights, pts = d.quadrature
     assert np.array_equal(weights, areas[mask])
     assert np.array_equal(pts, np.stack([cxs[mask], cys[mask]], axis=-1))
+    fresh = cell_quadrature(d)
+    assert np.array_equal(weights, fresh[0]) and np.array_equal(pts, fresh[1])
     s = boundary_samples(d)
     for name in ("points", "normals", "ds"):
         assert np.array_equal(getattr(d.samples, name), getattr(s, name))
