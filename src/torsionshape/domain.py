@@ -343,8 +343,8 @@ def reinitialize(d):
     dist = np.full(grid.shape, np.inf)
     dist[fi, fj] = np.abs(ls[fi, fj]) / gn
     kernels.eikonal_solve(dist, flip, h, band=REINIT_BAND_CELLS)
-    out = np.where(inside, -dist, dist)
-    return Domain(grid, out, is_signed_distance=True)
+    np.negative(dist, out=dist, where=inside)
+    return Domain(grid, dist, is_signed_distance=True)
 
 
 def scale_domain(d, t):

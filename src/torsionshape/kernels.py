@@ -81,34 +81,38 @@ def advect_step(ls, vn, h, dt):
 # Eikonal solve |grad d| = 1 (Jacobi iteration)
 # ---------------------------------------------------------------------------
 
-def _eikonal_round(p, idx, stride, h):
-    """One Jacobi round on the nodes ``idx`` of the flat padded array ``p``,
-    whose rows are ``stride`` long; every new value is computed before any
-    is stored."""
-    a = np.minimum(p[idx - stride], p[idx + stride])
-    b = np.minimum(p[idx - 1], p[idx + 1])
+def _eikonal_round(p, nb, m, h):
+    """One Jacobi round on the first ``m`` nodes of the compact array ``p``,
+    whose neighbours are ``p[nb[:, :m]]``; every new value is computed
+    before any is stored."""
+    a = np.minimum(p[nb[0, :m]], p[nb[1, :m]])
+    b = np.minimum(p[nb[2, :m]], p[nb[3, :m]])
     diff = np.abs(a - b)
     new = np.where(
         diff >= h,
         np.minimum(a, b) + h,
         0.5 * (a + b + np.sqrt(np.maximum(2.0 * h * h - diff * diff, 0.0))),
     )
-    p[idx] = np.minimum(p[idx], new)
+    np.minimum(p[:m], new, out=p[:m])
 
 
 def grow_4(mask, steps):
-    """The nodes within 4-neighbour graph distance ``steps`` of ``mask``,
-    off-grid nodes counting as outside: ``steps`` shift-ORs, each of the
-    previous round's mask."""
+    """Each node's 4-neighbour graph distance from ``mask``, off-grid nodes
+    counting as outside, and ``steps + 1`` for the nodes farther than
+    ``steps``: ``steps`` shift-ORs, each of the previous round's mask, and
+    per node ``steps + 1`` less the number of these masks it is in."""
     out = mask.copy()
     prev = np.empty_like(out)
+    ring = np.full(out.shape, steps + 1, np.min_scalar_type(steps + 1))
     for _ in range(steps):
+        ring -= out
         np.copyto(prev, out)
         out[1:, :] |= prev[:-1, :]
         out[:-1, :] |= prev[1:, :]
         out[:, 1:] |= prev[:, :-1]
         out[:, :-1] |= prev[:, 1:]
-    return out
+    ring -= out
+    return ring
 
 
 def eikonal_solve(d, frozen, h, band):
@@ -132,13 +136,23 @@ def eikonal_solve(d, frozen, h, band):
     ``min(f(a, b), C) = min(f(min(a, C), min(b, C)), C)``.  Seeded at the
     cap, the rounds need no sentinel for unreached nodes.
 
-    The rounds run only on the non-frozen nodes within 4-neighbour graph
-    distance ``R = ceil(band*sqrt(2))`` of a seed, a node below ``C``.  For
-    ``diff = |a - b| <= h`` the update is ``min(a, b) + (diff +
+    The rounds run only on the tube: the non-frozen nodes within 4-neighbour
+    graph distance ``R = floor(band*sqrt(2))`` of a seed, a node below
+    ``C``.  For ``diff = |a - b| <= h`` the update is ``min(a, b) + (diff +
     sqrt(2h^2 - diff^2))/2 >= min(a, b) + h/sqrt(2)``, and ``min(a, b) + h``
     beyond, so a node ``k`` steps from every seed never falls below
-    ``min(C, k*h/sqrt(2))``: a node with ``k >= band*sqrt(2)`` stays at the
-    cap, which is also what the padding around the seeds' box supplies.
+    ``min(C, k*h/sqrt(2))``: ring ``R + 1 > band*sqrt(2)`` and every node
+    beyond it stay at the cap, which is what the cap padding around the
+    seeds' box supplies to ring ``R``.
+
+    The tube is numbered ring by ring, in C order within a ring, and held
+    first in a compact array ``p``, followed by the padded box as fixed
+    values; the four neighbour index arrays into ``p`` are built once.
+    Round ``k`` (from 1) updates only the rings ``<= min(k, R)``, a prefix
+    of ``p``.  Before it a node in ring ``j >= k`` still holds the cap, so
+    in round ``k`` a node in ring ``j > k`` reads the cap on all four sides
+    and its update ``f(C, C) = C + h/sqrt(2)`` leaves it at ``C``: skipping
+    it changes no bit of the result.
     """
     cap = band * h
     np.minimum(d, cap, out=d)
@@ -147,18 +161,28 @@ def eikonal_solve(d, frozen, h, band):
     j = np.flatnonzero(seed.any(axis=0))
     if len(i) == 0:
         return d
-    reach = math.ceil(band * math.sqrt(2.0))
+    reach = math.floor(band * math.sqrt(2.0))
     box = (slice(max(i[0] - reach, 0), i[-1] + reach + 1),
            slice(max(j[0] - reach, 0), j[-1] + reach + 1))
     sub = d[box]
-    tube = grow_4(seed[box], reach) & ~frozen[box]
-    ti, tj = nonzero_2d(tube)
-    p = np.pad(sub, 1, constant_values=cap).ravel()
+    ring = grow_4(seed[box], reach)
+    tube = np.flatnonzero((ring <= reach) & ~frozen[box])
+    rings = ring.ravel()[tube]
+    tube = tube[np.argsort(rings, kind="stable")]
+    counts = np.cumsum(np.bincount(rings, minlength=reach + 1))
+    ti, tj = np.divmod(tube, sub.shape[1])
     stride = sub.shape[1] + 2
-    idx = (ti + 1) * stride + tj + 1
-    for _ in range(2 * band + 2):
-        _eikonal_round(p, idx, stride, h)
-    sub[ti, tj] = p[idx]
+    q = (ti + 1) * stride + tj + 1
+    t = len(q)
+    p = np.full(t + (sub.shape[0] + 2) * stride, cap)
+    p[t:].reshape(-1, stride)[1:-1, 1:-1] = sub
+    p[:t] = p[t + q]
+    at = np.arange(t, len(p))  # where each padded node sits in p
+    at[q] = np.arange(t)
+    nb = at[q + np.array([[-stride], [stride], [-1], [1]])]
+    for k in range(1, 2 * band + 3):
+        _eikonal_round(p, nb, counts[min(k, reach)], h)
+    sub[ti, tj] = p[:t]
     return d
 
 

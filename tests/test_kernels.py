@@ -138,11 +138,13 @@ def test_eikonal_solve_on_the_box_matches_whole_grid(centre, radius, band):
 
 
 def _case_ls(case, rng):
-    """(ls, h) on the 96² grid on [-2, 2]²: a random starshaped field that is
-    centred, that lies in a corner, or that has two components."""
-    xs = np.linspace(-2.0, 2.0, 97)
+    """(ls, h) on the 96² grid on [-2, 2]², or on the geometry benchmark's
+    384² grid for a case ending in ``n=384``: a random starshaped field that
+    is centred, that lies in a corner, or that has two components."""
+    n = 384 if case.endswith("n=384") else 96
+    xs = np.linspace(-2.0, 2.0, n + 1)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
-    if case == "centred":
+    if case.startswith("centred"):
         ls = starshaped_field(X, Y, rng, (0.0, 0.0), 1.0)
     elif case == "clipped":
         ls = starshaped_field(X, Y, rng, (-1.55, 1.5), 0.3)
@@ -159,14 +161,23 @@ def _case_ls(case, rng):
     ("clipped", 8),        # the grown box is clipped by two grid edges
     ("two components", 8),
     ("centred", 192),      # band = 2n: the tube covers the grid
+    ("centred at n=384", 8),
+    ("centred, unfrozen seeds", 8),
 ])
 def test_eikonal_solve_matches_whole_grid_on_random_fields(case, band, seed):
-    ls, h = _case_ls(case, np.random.default_rng([seed, len(case), band]))
+    rng = np.random.default_rng([seed, len(case), band])
+    ls, h = _case_ls(case, rng)
     frozen = kernels.neighbour_differs(ls < 0.0)
     dist = np.full(ls.shape, np.inf)
     dist[frozen] = np.abs(ls[frozen])
+    if case.endswith("unfrozen seeds"):
+        # nodes below the cap that seed the rounds and are still updated
+        loose = (np.abs(ls) < 4 * h) & ~frozen & (rng.random(ls.shape) < 0.05)
+        dist[loose] = rng.uniform(0.0, band * h, np.count_nonzero(loose))
     ref = _eikonal_whole_grid(dist.copy(), frozen, h, band)
     assert np.count_nonzero(ref < band * h) > np.count_nonzero(frozen)
+    if case.endswith("unfrozen seeds"):
+        assert np.any(ref[loose] < dist[loose])
     assert np.array_equal(kernels.eikonal_solve(dist, frozen, h, band), ref)
 
 
@@ -185,10 +196,17 @@ def test_grow_4_matches_binary_dilation(case, steps):
     seed = kernels.neighbour_differs(ls < 0.0)
     ref = ndimage.binary_dilation(seed, iterations=steps)
     assert np.count_nonzero(ref) > np.count_nonzero(seed)
-    assert np.array_equal(kernels.grow_4(seed, steps), ref)
+    ring = kernels.grow_4(seed, steps)
+    assert np.array_equal(ring <= steps, ref)
+    assert np.all(ring[~ref] == steps + 1)
+    # each ring is the shell that one more dilation adds
+    assert np.array_equal(ring == 0, seed)
+    for k in range(1, steps + 1):
+        assert np.array_equal(ring <= k,
+                              ndimage.binary_dilation(seed, iterations=k))
     # and on a box the grown tube reaches the edge of, as eikonal_solve's
     box = (slice(20, 80), slice(5, 60))
-    assert np.array_equal(kernels.grow_4(seed[box], steps),
+    assert np.array_equal(kernels.grow_4(seed[box], steps) <= steps,
                           ndimage.binary_dilation(seed[box], iterations=steps))
 
 
@@ -224,15 +242,35 @@ def test_banded_eikonal_rounds_do_not_grow_with_n(n, monkeypatch):
     ls = (pts[..., 0] / 1.3) ** 2 + (pts[..., 1] / 0.7) ** 2 - 1.0
     d = Domain(grid, ls)
     rounds = []
+    calls = []
     one_round = kernels._eikonal_round
+    solve = kernels.eikonal_solve
 
-    def counted(*args):
-        rounds.append(1)
-        return one_round(*args)
+    def counted(p, nb, m, h):
+        rounds.append((m, nb.shape[1]))
+        return one_round(p, nb, m, h)
+
+    def seen(dist, frozen, h, band):
+        calls.append((dist < band * h, frozen.copy(), band))
+        return solve(dist, frozen, h, band)
 
     monkeypatch.setattr(kernels, "_eikonal_round", counted)
+    monkeypatch.setattr(kernels, "eikonal_solve", seen)
     reinitialize(d)
     assert len(rounds) == 2 * domain.REINIT_BAND_CELLS + 2
+    # round k updates the non-frozen nodes within min(k, R) links of a seed,
+    # R = floor(band*sqrt(2)); the tube leaves out ring ceil(band*sqrt(2))
+    [(seed, frozen, band)] = calls
+    reach = int(np.floor(band * np.sqrt(2.0)))
+    assert reach + 1 == np.ceil(band * np.sqrt(2.0))
+
+    def within(k):
+        grown = ndimage.binary_dilation(seed, iterations=k)
+        return np.count_nonzero(grown & ~frozen)
+
+    for k, (m, tube) in enumerate(rounds, start=1):
+        assert m == within(min(k, reach))
+        assert tube == within(reach) < within(reach + 1)
 
 
 def test_cell_geometry_ball_area(ball_ls):
