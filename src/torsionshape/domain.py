@@ -323,26 +323,25 @@ def boundary_samples(d):
 def reinitialize(d):
     """Rebuild ls as a signed distance in a tube of ``REINIT_BAND_CELLS`` cells.
 
-    The narrow-band Jacobi eikonal solve makes ``|ls|`` the first-order
-    upwind (Godunov) eikonal solution seeded at the flip nodes where it is
-    below ``REINIT_BAND_CELLS * h``, and clamps it to that value beyond,
-    keeping every node's sign.  It is not the exact distance: on the
-    geometry benchmark's reference curve at 384², it is up to 0.024 h off
-    the exact signed distance on the nodes within 3h of the front.  Every
-    consumer reads ``ls`` near the front or only its sign.  The solve is seeded at the
-    nodes with a neighbour across the front, with ``|ls| / |grad ls|``; the
-    gradient is taken at those nodes alone.
+    The flip nodes, those with a neighbour across the front, seed the
+    narrow-band Jacobi eikonal solve with ``|ls| / |grad ls|``, the gradient
+    taken at those nodes alone; ``kernels.eikonal_solve`` takes their
+    indices and values and freezes them.  It makes ``|ls|`` the first-order
+    upwind (Godunov) eikonal solution seeded at the flip nodes below
+    ``REINIT_BAND_CELLS * h``, clamped to that value beyond, and every node
+    keeps its sign.  It is not the exact distance: on the geometry
+    benchmark's reference curve at 384², it is up to 0.024 h off the exact
+    signed distance on the nodes within 3h of the front.  Every consumer
+    reads ``ls`` near the front or only its sign.
     """
     grid = d.grid
     h = grid.h
     ls = d.ls
     inside = ls < 0.0
-    flip = kernels.neighbour_differs(inside)
-    fi, fj = kernels.nonzero_2d(flip)
+    fi, fj = kernels.nonzero_2d(kernels.neighbour_differs(inside))
     gn = np.clip(np.hypot(*_central_gradient(ls, h, fi, fj)), 0.2, 5.0)
-    dist = np.full(grid.shape, np.inf)
-    dist[fi, fj] = np.abs(ls[fi, fj]) / gn
-    kernels.eikonal_solve(dist, flip, h, band=REINIT_BAND_CELLS)
+    dist = kernels.eikonal_solve(grid.shape, (fi, fj), np.abs(ls[fi, fj]) / gn,
+                                 h, REINIT_BAND_CELLS)
     np.negative(dist, out=dist, where=inside)
     return Domain(grid, dist, is_signed_distance=True)
 

@@ -54,9 +54,9 @@ def nonzero_2d(mask):
 def neighbour_differs(a):
     """Nodes with a 4-neighbour that holds a different value.
 
-    On ``ls`` these are the nodes where some one-sided difference is nonzero,
-    the only ones ``advect_step`` can move: elsewhere it returns ``ls`` for
-    any finite speed.
+    Its one caller in ``src/``, ``domain.reinitialize``, applies it to
+    ``ls < 0`` to mark the flip nodes, those with a neighbour across the
+    front, which seed and are frozen in ``eikonal_solve``.
     """
     out = np.zeros(a.shape, dtype=bool)
     ne = a[:-1, :] != a[1:, :]
@@ -115,8 +115,9 @@ def grow_4(mask, steps):
     return ring
 
 
-def eikonal_solve(d, frozen, h, band):
-    """In-place unsigned distance in a tube; ``frozen`` nodes keep their values.
+def eikonal_solve(shape, flip, seeds, h, band):
+    """Unsigned distance from the ``flip`` nodes ``(fi, fj)`` on a grid of
+    ``shape``; they stay frozen at ``min(seeds, C)``, the rest start at ``C``.
 
     The result is ``2*band + 2`` Jacobi rounds of the upwind update, capped
     at ``C = band*h`` (Adalsteinsson and Sethian, J. Comput. Phys. 118,
@@ -130,20 +131,22 @@ def eikonal_solve(d, frozen, h, band):
     18 to 31 rounds, and after ``2*band + 2`` = 18 up to 1,530 nodes sat
     above it, by at most 1.3e-8*h and none within 4h of the front.
 
-    Clamping ``d`` to ``C`` before the rounds gives the same values as
+    Clamping the seeds to ``C`` before the rounds gives the same values as
     clamping after them: for ``a >= C`` both ``f(a, b)`` and ``f(C, b)``
     are ``b + h`` when ``b <= C - h`` and at least ``C`` otherwise, so
-    ``min(f(a, b), C) = min(f(min(a, C), min(b, C)), C)``.  Seeded at the
+    ``min(f(a, b), C) = min(f(min(a, C), min(b, C)), C)``.  Started at the
     cap, the rounds need no sentinel for unreached nodes.
 
-    The rounds run only on the tube: the non-frozen nodes within 4-neighbour
-    graph distance ``R = floor(band*sqrt(2))`` of a seed, a node below
-    ``C``.  For ``diff = |a - b| <= h`` the update is ``min(a, b) + (diff +
-    sqrt(2h^2 - diff^2))/2 >= min(a, b) + h/sqrt(2)``, and ``min(a, b) + h``
-    beyond, so a node ``k`` steps from every seed never falls below
-    ``min(C, k*h/sqrt(2))``: ring ``R + 1 > band*sqrt(2)`` and every node
-    beyond it stay at the cap, which is what the cap padding around the
-    seeds' box supplies to ring ``R``.
+    The rounds run only on the tube, the rings ``1..R`` of 4-neighbour graph
+    distance from the flip nodes, ``R = floor(band*sqrt(2))``; a node in
+    ring ``k`` is ``k`` or more steps from every flip node below ``C``, even
+    where one at the cap is nearer.  For ``diff = |a - b| <= h`` the update
+    is ``min(a, b) + (diff + sqrt(2h^2 - diff^2))/2 >= min(a, b) +
+    h/sqrt(2)``, and ``min(a, b) + h`` beyond, so a node ``k`` steps from
+    every flip node below ``C`` never falls below ``min(C, k*h/sqrt(2))``:
+    ring ``R + 1 > band*sqrt(2)`` and every node beyond it stay at the cap,
+    which is what the cap padding around the flip nodes' box supplies to
+    ring ``R``.
 
     The tube is numbered ring by ring, in C order within a ring, and held
     first in a compact array ``p``, followed by the padded box as fixed
@@ -155,18 +158,17 @@ def eikonal_solve(d, frozen, h, band):
     it changes no bit of the result.
     """
     cap = band * h
-    np.minimum(d, cap, out=d)
-    seed = d < cap
-    i = np.flatnonzero(seed.any(axis=1))
-    j = np.flatnonzero(seed.any(axis=0))
-    if len(i) == 0:
-        return d
+    fi, fj = flip
     reach = math.floor(band * math.sqrt(2.0))
-    box = (slice(max(i[0] - reach, 0), i[-1] + reach + 1),
-           slice(max(j[0] - reach, 0), j[-1] + reach + 1))
+    i0, j0 = max(fi.min() - reach, 0), max(fj.min() - reach, 0)
+    box = (slice(i0, fi.max() + reach + 1), slice(j0, fj.max() + reach + 1))
+    d = np.full(shape, cap)
+    d[fi, fj] = np.minimum(seeds, cap)
     sub = d[box]
-    ring = grow_4(seed[box], reach)
-    tube = np.flatnonzero((ring <= reach) & ~frozen[box])
+    ring0 = np.zeros(sub.shape, dtype=bool)
+    ring0[fi - i0, fj - j0] = True
+    ring = grow_4(ring0, reach)
+    tube = np.flatnonzero((ring > 0) & (ring <= reach))
     rings = ring.ravel()[tube]
     tube = tube[np.argsort(rings, kind="stable")]
     counts = np.cumsum(np.bincount(rings, minlength=reach + 1))
@@ -176,7 +178,6 @@ def eikonal_solve(d, frozen, h, band):
     t = len(q)
     p = np.full(t + (sub.shape[0] + 2) * stride, cap)
     p[t:].reshape(-1, stride)[1:-1, 1:-1] = sub
-    p[:t] = p[t + q]
     at = np.arange(t, len(p))  # where each padded node sits in p
     at[q] = np.arange(t)
     nb = at[q + np.array([[-stride], [stride], [-1], [1]])]

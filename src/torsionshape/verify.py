@@ -47,7 +47,10 @@ def check_basic(d):
 def check_starshaped(d):
     """Along 360 rays from the origin, the set must be left of a single crossing.
 
-    ``measured`` is the deepest re-entry of ``ls`` after a ray's first exit.
+    The rays run to the inscribed radius of the box, or 2h past the farthest
+    boundary sample where that is farther, so a piece of the set beyond the
+    inscribed circle is still seen.  ``measured`` is the deepest re-entry of
+    ``ls`` after a ray's first exit.
     A redistanced ``ls`` is clamped to ``REINIT_BAND_CELLS * h`` (8h), and a
     homothety by t scales that cap to 8h*t, so the measure saturates there
     and tied rays report the first as witness.  The witness's ``saturated``
@@ -61,7 +64,8 @@ def check_starshaped(d):
         return CheckReport("starshaped", False, measured=float(ls0), tol=tol,
                            witness={"reason": "origin not inside"})
     x0, y0, x1, y1 = d.grid.box
-    rmax = min(x1, y1, -x0, -y0)
+    _, r, _ = _sample_angles_radii(d)
+    rmax = max(min(x1, y1, -x0, -y0), float(np.max(r)) + tol)
     nstep = int(2 * rmax / h) * 2
     rr = np.linspace(0.0, rmax, nstep)
     angles = np.linspace(0.0, 2 * np.pi, 360, endpoint=False)

@@ -87,10 +87,10 @@ def test_advect_step_moves_interface_outward(ball_ls):
 def test_eikonal_solve_reproduces_ball_distance(ball_ls):
     ls, h = ball_ls
     flip = kernels.neighbour_differs(ls < 0.0)
-    dist = np.full(ls.shape, np.inf)
-    dist[flip] = np.abs(ls[flip])
     n = ls.shape[0] - 1
-    kernels.eikonal_solve(dist, flip, h, band=2 * n)  # the tube covers the grid
+    # band = 2n: the tube covers the grid
+    dist = kernels.eikonal_solve(ls.shape, kernels.nonzero_2d(flip),
+                                 np.abs(ls[flip]), h, band=2 * n)
     # seeded from an exact distance field, the solve must reproduce it
     assert np.max(np.abs(dist - np.abs(ls))) < 3 * h
 
@@ -134,7 +134,9 @@ def test_eikonal_solve_on_the_box_matches_whole_grid(centre, radius, band):
     dist = np.full(ls.shape, np.inf)
     dist[frozen] = np.abs(ls[frozen])
     ref = _eikonal_whole_grid(dist.copy(), frozen, h, band)
-    assert np.array_equal(kernels.eikonal_solve(dist, frozen, h, band), ref)
+    out = kernels.eikonal_solve(ls.shape, kernels.nonzero_2d(frozen),
+                                dist[frozen], h, band)
+    assert np.array_equal(out, ref)
 
 
 def _case_ls(case, rng):
@@ -162,23 +164,23 @@ def _case_ls(case, rng):
     ("two components", 8),
     ("centred", 192),      # band = 2n: the tube covers the grid
     ("centred at n=384", 8),
-    ("centred, unfrozen seeds", 8),
+    ("centred, steep", 8),  # some flip nodes seed at or above the cap
 ])
 def test_eikonal_solve_matches_whole_grid_on_random_fields(case, band, seed):
     rng = np.random.default_rng([seed, len(case), band])
     ls, h = _case_ls(case, rng)
+    if case.endswith("steep"):
+        ls = 50.0 * ls
     frozen = kernels.neighbour_differs(ls < 0.0)
     dist = np.full(ls.shape, np.inf)
     dist[frozen] = np.abs(ls[frozen])
-    if case.endswith("unfrozen seeds"):
-        # nodes below the cap that seed the rounds and are still updated
-        loose = (np.abs(ls) < 4 * h) & ~frozen & (rng.random(ls.shape) < 0.05)
-        dist[loose] = rng.uniform(0.0, band * h, np.count_nonzero(loose))
     ref = _eikonal_whole_grid(dist.copy(), frozen, h, band)
     assert np.count_nonzero(ref < band * h) > np.count_nonzero(frozen)
-    if case.endswith("unfrozen seeds"):
-        assert np.any(ref[loose] < dist[loose])
-    assert np.array_equal(kernels.eikonal_solve(dist, frozen, h, band), ref)
+    if case.endswith("steep"):
+        assert np.any(dist[frozen] >= band * h)
+    out = kernels.eikonal_solve(ls.shape, kernels.nonzero_2d(frozen),
+                                dist[frozen], h, band)
+    assert np.array_equal(out, ref)
 
 
 @pytest.mark.parametrize("shape, frac", [((97, 97), 0.0), ((97, 97), 0.01),
@@ -210,19 +212,26 @@ def test_grow_4_matches_binary_dilation(case, steps):
                           ndimage.binary_dilation(seed[box], iterations=steps))
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_reinitialize_matches_full_grid_reference(seed):
+@pytest.mark.parametrize("seed, steep", [
+    *(pytest.param(seed, 1.0, id=str(seed)) for seed in range(3)),
+    *(pytest.param(seed, 50.0, id=f"steep-{seed}") for seed in range(3)),
+])
+def test_reinitialize_matches_full_grid_reference(seed, steep):
     # |grad ls| from np.gradient over the whole grid, then the eikonal solve
-    # over the whole grid
+    # over the whole grid; the steep field seeds some flip nodes at or above
+    # the cap
     grid = GridSpec(96, 96, (-2.0, -2.0, 2.0, 2.0))
     X, Y = np.moveaxis(grid.nodes(), -1, 0)
-    ls = starshaped_field(X, Y, np.random.default_rng(seed), (0.1, -0.2), 1.0)
+    ls = steep * starshaped_field(X, Y, np.random.default_rng(seed),
+                                  (0.1, -0.2), 1.0)
     h = grid.h
+    cap = domain.REINIT_BAND_CELLS * h
     flip = kernels.neighbour_differs(ls < 0.0)
     gx, gy = np.gradient(ls, h)
     gn = np.clip(np.hypot(gx, gy), 0.2, 5.0)
     dist = np.full(ls.shape, np.inf)
     dist[flip] = np.abs(ls[flip]) / gn[flip]
+    assert np.any(dist[flip] >= cap) == (steep > 1.0)
     dist = _eikonal_whole_grid(dist, flip, h, domain.REINIT_BAND_CELLS)
     out = reinitialize(Domain(grid, ls))
     assert out.is_signed_distance
@@ -230,8 +239,10 @@ def test_reinitialize_matches_full_grid_reference(seed):
 
 
 def test_eikonal_solve_without_a_node_below_the_cap():
-    d = np.full((9, 9), np.inf)
-    kernels.eikonal_solve(d, np.zeros(d.shape, dtype=bool), 0.5, band=2)
+    # every flip node seeds at or above the cap, 1.0
+    flip = (np.array([3, 4, 4, 5]), np.array([4, 3, 5, 4]))
+    d = kernels.eikonal_solve((9, 9), flip, np.array([1.0, 1.5, 7.0, np.inf]),
+                              0.5, band=2)
     assert np.all(d == 1.0)
 
 
@@ -250,22 +261,25 @@ def test_banded_eikonal_rounds_do_not_grow_with_n(n, monkeypatch):
         rounds.append((m, nb.shape[1]))
         return one_round(p, nb, m, h)
 
-    def seen(dist, frozen, h, band):
-        calls.append((dist < band * h, frozen.copy(), band))
-        return solve(dist, frozen, h, band)
+    def seen(shape, flip, seeds, h, band):
+        frozen = np.zeros(shape, dtype=bool)
+        frozen[flip] = True
+        calls.append((frozen, band))
+        return solve(shape, flip, seeds, h, band)
 
     monkeypatch.setattr(kernels, "_eikonal_round", counted)
     monkeypatch.setattr(kernels, "eikonal_solve", seen)
     reinitialize(d)
     assert len(rounds) == 2 * domain.REINIT_BAND_CELLS + 2
-    # round k updates the non-frozen nodes within min(k, R) links of a seed,
-    # R = floor(band*sqrt(2)); the tube leaves out ring ceil(band*sqrt(2))
-    [(seed, frozen, band)] = calls
+    # round k updates the nodes within 1..min(k, R) links of a flip node,
+    # ring 0, R = floor(band*sqrt(2)); the tube leaves out ring
+    # ceil(band*sqrt(2))
+    [(frozen, band)] = calls
     reach = int(np.floor(band * np.sqrt(2.0)))
     assert reach + 1 == np.ceil(band * np.sqrt(2.0))
 
     def within(k):
-        grown = ndimage.binary_dilation(seed, iterations=k)
+        grown = ndimage.binary_dilation(frozen, iterations=k)
         return np.count_nonzero(grown & ~frozen)
 
     for k, (m, tube) in enumerate(rounds, start=1):

@@ -87,6 +87,27 @@ def test_starshaped_marks_a_depth_at_the_cap(grid128):
     assert ball.passed
 
 
+def _ellipse_and_islet(shift):
+    """An ellipse about (0.4 - shift, 0) and a ball of radius 0.12 about
+    (2.7 - shift, 0), on the 160x128 box [-2, -2, 3, 2] moved by -shift in
+    x: the ray theta = 0 leaves the ellipse at 2.5 - shift and re-enters the
+    ball, 0.10 deep."""
+    grid = GridSpec(160, 128, (-2.0 - shift, -2.0, 3.0 - shift, 2.0))
+    X, Y = np.moveaxis(grid.nodes(), -1, 0)
+    ellipse = np.hypot((X - 0.4 + shift) / 2.1, Y) - 1.0
+    islet = np.hypot(X - 2.7 + shift, Y) - 0.12
+    return build_domain(grid, Field(np.minimum(ellipse, islet)))
+
+
+@pytest.mark.parametrize("shift", [0.0, 1.0])
+def test_starshaped_sees_past_the_inscribed_radius(shift):
+    # unshifted, the islet lies beyond the box's inscribed radius, 2
+    rep = check_starshaped(_ellipse_and_islet(shift))
+    assert not rep.passed
+    assert rep.witness["theta"] == 0.0
+    assert 0.09 < rep.measured < 0.11
+
+
 def test_convex_ellipse_passes(grid128):
     assert check_convex(build_domain(grid128, Ellipse(1.4, 0.7))).passed
 
