@@ -36,7 +36,7 @@ DEFAULT_CONFIG = {
     "optimizer": {"tol_residual": 5e-2},
     "checks": ["basic"],
     "radii": [0.8, 1.0, 1.2],                                 # derivcheck
-    "sweep": {"k": 0.5, "alpha": 2.0, "eps": [0.02, 0.05, 0.1]},
+    "sweep": {"eps": [0.02, 0.05, 0.1]},
     "out": "out",
 }
 
@@ -192,11 +192,11 @@ def cmd_solve(cfg, quiet):
         write_csv(fh["field.csv"], u.values)
         save_boundary(d.samples, fh["boundary.csv"])
         fh["report.json"].write(_dump_json(report))
-    ok = all(r.passed for r in reports) and res_sup <= tol_residual
+    passed = all(r.passed for r in reports)
     if not quiet:
         print(f"solve: residual_sup={res_sup:.3g} termination={trace.reason} "
-              f"checks={'pass' if ok else 'FAIL'}")
-    return EXIT_OK if ok else EXIT_CHECKS_FAILED
+              f"checks={'pass' if passed else 'FAIL'}")
+    return EXIT_OK if passed and res_sup <= tol_residual else EXIT_CHECKS_FAILED
 
 
 def cmd_oracle(args):
@@ -256,7 +256,10 @@ def cmd_derivcheck(cfg):
 
 
 def cmd_sweep(cfg, quiet):
-    k, alpha = cfg["sweep"]["k"], cfg["sweep"]["alpha"]
+    base = _weight_from_spec(cfg["weight"])  # perturbed by eps cos(2 theta)
+    if base.kind != "radial":
+        raise ConfigParse(f"sweep needs a radial weight, got {base.kind!r}")
+    k, alpha = float(base.params["a"][0]), base.alpha
     epss = cfg["sweep"]["eps"]
     # eps = 0 is the radial row; a negative eps would be fitted as signed
     # against widths even in eps, and a repeated one makes the fit singular
@@ -280,7 +283,8 @@ def cmd_sweep(cfg, quiet):
             r_or, R_or = oracle_mod.stability_radii(k, alpha, 2, eps, "sup")
         else:
             r_or = R_or = oracle_mod.fbp_radius(k, alpha, 2)
-        ok = ok and (r_meas >= r_or - 3 * h) and (R_meas <= R_or + 3 * h)
+        ok = (ok and trace.reason == "converged" and r_meas >= r_or - 3 * h
+              and R_meas <= R_or + 3 * h)
         rows.append((eps, r_or, R_or, r_meas, R_meas))
     out_lines = ["eps,r_oracle,R_oracle,r_measured,R_measured"]
     out_lines += [",".join(f"{v:.10g}" for v in row) for row in rows]

@@ -393,8 +393,9 @@ def _hausdorff_points(b1, b2):
 
 
 def connected_components(d):
-    """Number of 4-connected components of the inside node set."""
-    labels, n = ndimage.label(d.ls < 0.0)
+    """Number of 8-connected components of the inside node set: the cut-cell
+    walk joins a saddle cell's two inside corners, so diagonal ones count."""
+    labels, n = ndimage.label(d.ls < 0.0, structure=np.ones((3, 3)))
     return int(n)
 
 

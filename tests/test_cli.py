@@ -1,5 +1,6 @@
 """CLI: exit codes, artifact emission, determinism, subcommand behaviour."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -16,6 +17,9 @@ from torsionshape.errors import ConfigParse
 from torsionshape.domain import save_domain
 
 FAST_GRID = ["--override", "grid.nx=128", "--override", "grid.ny=128"]
+# the checks of the benchmark's solve workload
+ALL_CHECKS = ["basic", "starshaped", "convex", "symmetry_x", "symmetry_y",
+              "sandwich", "scaling"]
 
 
 def _read_report(out_dir):
@@ -83,7 +87,8 @@ def test_unknown_check_exits_2(tmp_path):
     'weight.profile={"type":"fourier","a":[],"b":[]}', "schema=7", "schema=0",
     'weight.profile={"type":"radial","k":true}',
     'weight.profile={"type":"radial","k":"0.5"}',
-    'weight.profile={"type":"fourier","a":[[0.5]],"b":[]}'])
+    'weight.profile={"type":"fourier","a":[[0.5]],"b":[]}',
+    "sweep.k=0.5", "sweep.alpha=2.0"])
 def test_bad_config_value_exits_2(tmp_path, capsys, override):
     # the case comes last, so the 32² grid cannot overwrite it
     rc = main(["--quiet", "solve", "--out", str(tmp_path / "o"),
@@ -102,7 +107,10 @@ def test_bad_config_value_exits_2(tmp_path, capsys, override):
                 'weight.profile={"type":"radial","k":"0.5"}':
                     "k must be a number, got '0.5'",
                 'weight.profile={"type":"fourier","a":[[0.5]],"b":[]}':
-                    "a must be a number, got [0.5]"}
+                    "a must be a number, got [0.5]",
+                # sweep takes k and alpha from weight
+                "sweep.k=0.5": "unknown config keys ['sweep.k']",
+                "sweep.alpha=2.0": "unknown config keys ['sweep.alpha']"}
     assert expected.get(override, "") in err["message"]
 
 
@@ -118,11 +126,14 @@ def test_sweep_non_numeric_eps_exits_2(tmp_path, capsys, eps):
 @pytest.mark.parametrize("override", ["sweep.esp=[0.1]", "sweep.k=-1",
                                       "sweep.eps=[-0.1]", "sweep.eps=[0.1,0.1]",
                                       "sweep.eps=[0.05,-0.05]",
-                                      "sweep.eps=[0.05,1.5]"])
+                                      "sweep.eps=[0.05,1.5]",
+                                      'weight.profile={"type":"pnorm",'
+                                      '"p":4,"a":1,"b":1}'])
 def test_sweep_bad_config_exits_2(tmp_path, capsys, monkeypatch, override):
     # rejected before any flow: a negative eps would be fitted as signed
-    # against widths even in eps, a repeated one makes the fit singular, and
-    # eps >= 1 makes the weight's profile non-positive
+    # against widths even in eps, a repeated one makes the fit singular,
+    # eps >= 1 makes the weight's profile non-positive, and only a radial
+    # weight has the oracle radii the rows compare with
     def no_flow(w, init):
         raise AssertionError("sweep ran a flow")
 
@@ -132,6 +143,35 @@ def test_sweep_bad_config_exits_2(tmp_path, capsys, monkeypatch, override):
                "--override", "grid.nx=32", "--override", "grid.ny=32"])
     assert rc == 2
     assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
+def test_sweep_takes_k_and_alpha_from_weight(tmp_path):
+    out = tmp_path / "sweep"
+    rc = main(["--quiet", "sweep", "--out", str(out),
+               "--override", 'weight.profile={"type":"radial","k":0.7}',
+               "--override", "sweep.eps=[0]",
+               "--override", "grid.nx=64", "--override", "grid.ny=64"])
+    assert rc == 0
+    row = (out / "sweep.csv").read_text().splitlines()[1].split(",")
+    radius = f"{oracle.fbp_radius(0.7, 2.0):.10g}"
+    assert row[:3] == ["0", radius, radius]
+
+
+def test_sweep_exits_1_when_a_flow_stalls(tmp_path, monkeypatch):
+    # the rows still hold their bracket, but a flow that did not meet its
+    # own L2 stop fails the sweep
+    real = cli.optimize
+
+    def stalled(w, init):
+        return dataclasses.replace(real(w, init), reason="stalled")
+
+    monkeypatch.setattr(cli, "optimize", stalled)
+    out = tmp_path / "sweep"
+    rc = main(["--quiet", "sweep", "--out", str(out),
+               "--override", "sweep.eps=[0]",
+               "--override", "grid.nx=64", "--override", "grid.ny=64"])
+    assert rc == 1
+    assert (out / "sweep.csv").read_text().startswith("eps,")
 
 
 def test_load_config_is_a_copy_of_the_table(tmp_path):
@@ -152,6 +192,37 @@ def test_load_config_is_a_copy_of_the_table(tmp_path):
         "type": "pnorm", "p": 4, "a": 1, "b": 1}}
     with pytest.raises(ConfigParse, match=r"grid\.nxx"):
         load_config(None, ["grid.nxx=64"])
+
+
+def test_solve_line_prints_the_checks_apart_from_the_gate(tmp_path, capsys):
+    # every check passes, but residual_sup exceeds tol_residual: the run
+    # exits 1, and its line says which of the two failed
+    out = tmp_path / "run"
+    rc = main(["solve", "--out", str(out),
+               "--override", 'checks=["basic","radial_ball","starshaped"]',
+               "--override", "optimizer.tol_residual=1e-6", *FAST_GRID])
+    assert rc == 1
+    assert "termination=converged checks=pass" in capsys.readouterr().out
+    rep = _read_report(out)
+    assert rep["residual_sup"] > 1e-6
+    assert all(c["pass"] for c in rep["checks"])
+
+
+@pytest.mark.parametrize("p", [3.5, 4.4, 5.0])
+def test_pnorm_solve_converges(tmp_path, p):
+    # the ends of the benchmark's p range, and p = 4.4, whose residual_sup
+    # (0.98 h) was the largest on the grid p = 3.5, 3.55, ..., 5: each flow
+    # must meet its L2 stop at 256² and pass the benchmark's seven checks
+    out = tmp_path / "run"
+    weight = {"alpha": 2.0,
+              "profile": {"type": "pnorm", "p": p, "a": 1.0, "b": 1.0}}
+    rc = main(["--quiet", "solve", "--out", str(out),
+               "--override", "weight=" + json.dumps(weight),
+               "--override", "checks=" + json.dumps(ALL_CHECKS)])
+    rep = _read_report(out)
+    assert rep["termination"] == "converged"
+    assert [c["name"] for c in rep["checks"] if not c["pass"]] == []
+    assert rc == 0
 
 
 def test_alpha_one_exits_3(tmp_path):

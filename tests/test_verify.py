@@ -45,6 +45,21 @@ def test_basic_fails_disconnected(grid128):
     assert rep.witness["components"] == 2
 
 
+def test_basic_joins_a_saddle_cell():
+    # a 2x2 inside block and the node diagonal to it: cell (16, 16) is a
+    # saddle whose two inside corners the cut-cell walk joins, so its front
+    # is one loop; 4-connectivity counted two components here
+    grid = GridSpec(32, 32, (-2.0, -2.0, 2.0, 2.0))
+    ls = np.ones(grid.shape)
+    ls[15:17, 15:17] = ls[17, 17] = -1.0
+    d = build_domain(grid, Field(ls))
+    corners = d.ls[16:18, 16:18] < 0.0
+    assert corners.tolist() == [[True, False], [False, True]]
+    rep = check_basic(d)
+    assert rep.passed
+    assert rep.witness["components"] == 1
+
+
 def test_starshaped_ball_passes(grid128):
     assert check_starshaped(build_domain(grid128, Ball(radius=1.0))).passed
 
